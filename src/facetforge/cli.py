@@ -8,6 +8,7 @@ overridden by the FACETFORGE_SEED environment variable or --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -72,6 +73,13 @@ def _parse_signature(text: str) -> Signature:
         raise _InputError(f"bad signature {text!r}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_or_print(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -124,11 +132,8 @@ def _cmd_verify(args) -> int:
                 report = exact_signature(system)
             except UnrecognizedStructure as exc:
                 fallback = probe_signature(system, samples=args.samples, seed=seed)
-                report = VerificationReport(
-                    signature=fallback.signature,
-                    method=fallback.method,
-                    confidence=fallback.confidence,
-                    witnesses=fallback.witnesses,
+                report = dataclasses.replace(
+                    fallback,
                     warnings=(f"exact path declined: {exc}",) + fallback.warnings,
                 )
     except InfeasibleSystem:
@@ -256,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the signature of a system file")
     p.add_argument("system", help="system JSON path")
     p.add_argument("--probe", action="store_true", help="force the sampling path")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--expect", help="signature to compare against, e.g. 0,2,3")
     p.set_defaults(func=_cmd_verify)

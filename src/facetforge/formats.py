@@ -7,7 +7,6 @@ conic exports and slice figures are numeric with documented tolerances.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,10 +21,15 @@ from .signatures import (
     Sum,
     tree_cost,
 )
-from .verifier import Confidence, VerificationReport, _FloatSystem
+from .verifier import (
+    Confidence,
+    NoInteriorFound,
+    VerificationReport,
+    _float_interior,
+    _FloatSystem,
+)
 
 EIGENVALUE_CLIP = 1e-12
-SLICE_FEAS_TOL = 1e-6
 
 
 def rational_to_json(x: Fraction) -> str:
@@ -93,13 +97,7 @@ def signature_to_json(sig: Signature) -> list[int]:
     return list(sig.elements)
 
 
-def parse_signature_text(text: str) -> Signature:
-    """Accepts '0,2,3' and '{0, 2, 3}'."""
-    body = text.strip().strip("{}")
-    parts = [p for p in body.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("empty signature")
-    return Signature.of(*(int(p) for p in parts))
+parse_signature_text = Signature.from_string
 
 
 def tree_to_json(tree) -> dict:
@@ -394,74 +392,33 @@ def slice_spec_from_json(data: dict) -> SliceSpec:
     )
 
 
-def _in_plane_interior(fs: _FloatSystem, base, U) -> np.ndarray:
-    """In-plane coordinates of a strictly feasible point, or EmptySlice."""
-    st = np.zeros(2)
-
-    def value_grad(p):
-        x = base + U.T @ p
-        vals = fs.eval_point(x)
-        j = int(vals.argmax())
-        return float(vals[j]), U @ fs.gradients(x)[j]
-
-    best, best_st = math.inf, st.copy()
-    for it in range(4000):
-        val, grad = value_grad(st)
-        if val < best:
-            best, best_st = val, st.copy()
-        if val < 0:
-            break
-        norm = float(np.linalg.norm(grad))
-        if norm < 1e-15:
-            break
-        st = st - (1.0 / math.sqrt(it + 1.0)) * grad / norm
-    if best >= 0:
-        raise EmptySlice("no strictly feasible point found in the slice plane")
-    return best_st
-
-
 def slice_boundary(s: QuadraticSystem, spec: SliceSpec):
     """Boundary samples of the slice: (thetas, st pairs, ambient points).
 
-    Rays that stay feasible out to the extent are omitted, so unbounded
-    slices come back as partial polylines.
+    The system is restricted to the plane, an interior point of the
+    restriction is the center, and one ray per angle leaves it through
+    _FloatSystem.ray_exit.  A ray is kept iff it exits within spec.extent
+    of the center, so unbounded slices come back as partial polylines.
     """
     if len(spec.base_point) != s.dim:
         raise ValueError("slice base point dimension mismatch")
-    fs = _FloatSystem(s)
     base = np.array(spec.base_point)
     U = np.array([spec.u, spec.v])
-    center = _in_plane_interior(fs, base, U)
+    plane = _FloatSystem.from_system(s).restrict(base, U)
+    try:
+        center = _float_interior(plane)
+    except NoInteriorFound as exc:
+        raise EmptySlice("no strictly feasible point found in the slice plane") from exc
 
-    thetas, st_rows, points = [], [], []
-    for k in range(spec.resolution):
-        theta = 2.0 * math.pi * k / spec.resolution
-        d2 = np.array([math.cos(theta), math.sin(theta)])
-        lo, hi = 0.0, 1.0
-        hit = False
-        while hi <= spec.extent:
-            x = base + U.T @ (center + hi * d2)
-            if fs.eval_point(x).max(initial=-math.inf) > 0:
-                hit = True
-                break
-            lo = hi
-            hi *= 2.0
-        if not hit:
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            x = base + U.T @ (center + mid * d2)
-            if fs.eval_point(x).max(initial=-math.inf) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        st = center + lo * d2
-        thetas.append(theta)
-        st_rows.append(st)
-        points.append(base + U.T @ st)
-    if not thetas:
+    thetas = 2.0 * np.pi * np.arange(spec.resolution) / spec.resolution
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    t = plane.ray_exit(center, dirs)
+    keep = t <= spec.extent
+    if not keep.any():
         raise EmptySlice("every ray stayed feasible out to the extent")
-    return thetas, st_rows, points
+    st_rows = center + t[keep, None] * dirs[keep]
+    points = base + st_rows @ U
+    return list(thetas[keep]), list(st_rows), list(points)
 
 
 def emit_slice_csv(s: QuadraticSystem, spec: SliceSpec) -> str:

@@ -41,12 +41,13 @@ class Signature:
 
     @classmethod
     def from_string(cls, text: str) -> "Signature":
-        body = text.strip().strip("{}")
-        parts = [p.strip() for p in body.split(",") if p.strip()]
+        """Accepts '0,2,3', '{0, 2, 3}' and '0 2 3'."""
+        parts = text.strip().strip("{}").replace(",", " ").split()
         try:
-            return cls(tuple(int(p) for p in parts))
+            elements = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise ValueError(f"cannot parse signature from {text!r}") from exc
+        return cls(elements)
 
     def __iter__(self):
         return iter(self.elements)

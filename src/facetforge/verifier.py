@@ -15,9 +15,10 @@ are computed twice (classification table vs. stacked null space) and every
 claimed face direction is probed at +-eps in floating point; disagreement
 surfaces as ProbeMismatch instead of being resolved silently.
 
-Tolerances: activity and slack 1e-8, face probe step 1e-6, boundary
-bisection 1e-12.  The separation between activity detection and the probe
-step keeps quadratic curvature from masquerading as flatness.
+Ray exits are closed-form quadratic roots, pulled back until the hit point
+evaluates feasible.  Tolerances: activity and slack 1e-8, face probe step
+1e-6, Newton residual 1e-12.  The separation between activity detection and
+the probe step keeps quadratic curvature from masquerading as flatness.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ from .signatures import Signature, minkowski_sum, shift
 TOL_ACTIVE = 1e-8
 TOL_SLACK = 1e-8
 PROBE_EPS = 1e-6
-BISECT_TOL = 1e-12
+NEWTON_TOL = 1e-12
+GROWTH_LIMIT = 2.0**45
+BACKOFF_FLOOR = 20
 DEFAULT_SEED = 42
 NEWTON_MAX_ITER = 50
 DEFAULT_TUPLE_CAP = 3
@@ -444,27 +447,38 @@ def exact_signature(system: QuadraticSystem) -> VerificationReport:
 
 
 class _FloatSystem:
-    def __init__(self, system: QuadraticSystem):
+    """Float copy of a system: f_j(x) = x^T A_j x + 2 a_j^T x + alpha_j."""
+
+    def __init__(self, A: np.ndarray, a: np.ndarray, alpha: np.ndarray):
+        self.A, self.a, self.alpha = A, a, alpha
+        self.m, self.n = a.shape
+
+    @classmethod
+    def from_system(cls, system: QuadraticSystem) -> "_FloatSystem":
         n, m = system.dim, len(system.constraints)
-        self.n, self.m = n, m
-        self.A = np.zeros((m, n, n))
-        self.a = np.zeros((m, n))
-        self.alpha = np.zeros(m)
+        A = np.zeros((m, n, n))
+        a = np.zeros((m, n))
+        alpha = np.zeros(m)
         for k, q in enumerate(system.constraints):
-            self.A[k] = [[float(e) for e in row] for row in q.A]
-            self.a[k] = [float(e) for e in q.a]
-            self.alpha[k] = float(q.alpha)
+            A[k] = [[float(e) for e in row] for row in q.A]
+            a[k] = [float(e) for e in q.a]
+            alpha[k] = float(q.alpha)
+        return cls(A, a, alpha)
+
+    def restrict(self, base: np.ndarray, U: np.ndarray) -> "_FloatSystem":
+        """The system on the affine space base + U^T p, in coordinates p."""
+        return _FloatSystem(
+            np.einsum("ki,mij,lj->mkl", U, self.A, U),
+            (self.A @ base + self.a) @ U.T,
+            self.eval_point(base),
+        )
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros((len(pts), 0))
         quad = np.einsum("ni,mij,nj->nm", pts, self.A, pts)
         return quad + 2.0 * pts @ self.a.T + self.alpha
 
     def max_batch(self, pts: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return np.full(len(pts), -np.inf)
-        return self.eval_batch(pts).max(axis=1)
+        return self.eval_batch(pts).max(axis=1, initial=-np.inf)
 
     def eval_point(self, x: np.ndarray) -> np.ndarray:
         return self.eval_batch(x[None, :])[0]
@@ -472,18 +486,49 @@ class _FloatSystem:
     def gradients(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (self.A @ x + self.a)
 
+    def ray_exit(self, x0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Smallest t > 0 per ray at which max_j f_j(x0 + t d) reaches 0.
+
+        Along a ray f_j is qa t^2 + 2 qb t + qc; its exit is the larger root
+        in cancellation-free form.  Recession rays (exit >= GROWTH_LIMIT) get
+        inf.  Hits that still evaluate infeasible are pulled back by relative
+        steps doubling from 2^-52 until max_j f_j <= 0; past 2^-BACKOFF_FLOOR
+        they get inf too.
+        """
+        qa = np.einsum("ri,mij,rj->rm", dirs, self.A, dirs)
+        qb = dirs @ (self.A @ x0 + self.a).T
+        qc = self.eval_point(x0)
+        root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(qb > 0, -qc / (qb + root), (root - qb) / qa)
+        t = np.fmin.reduce(t, axis=1, initial=np.inf)
+        t[t >= GROWTH_LIMIT] = np.inf
+        pending = np.flatnonzero(np.isfinite(t))
+        for shift_bits in range(52, BACKOFF_FLOOR, -1):
+            pts = x0 + t[pending, None] * dirs[pending]
+            pending = pending[self.max_batch(pts) > 0.0]
+            if not len(pending):
+                break
+            t[pending] *= 1.0 - 2.0 ** -shift_bits
+        t[pending] = np.inf
+        return t
+
 
 def interior_point(system: QuadraticSystem) -> np.ndarray:
-    """Strictly feasible point: witness, else phase-I plus barrier polish.
+    """Strictly feasible point: the system's witness, else _float_interior."""
+    if system.interior_witness is not None:
+        return np.array([float(e) for e in system.interior_witness])
+    return _float_interior(_FloatSystem.from_system(system))
+
+
+def _float_interior(fs: _FloatSystem) -> np.ndarray:
+    """Strictly feasible point by phase-I plus barrier polish.
 
     Phase I runs subgradient descent with diminishing steps on max_j f_j;
     once strictly feasible, a few damped Newton steps on the log barrier
     push the point toward the analytic center.  Raises NoInteriorFound when
     the subgradient phase stalls at a nonnegative value.
     """
-    if system.interior_witness is not None:
-        return np.array([float(e) for e in system.interior_witness])
-    fs = _FloatSystem(system)
     if fs.m == 0:
         return np.zeros(fs.n)
     if fs.n == 0:
@@ -562,30 +607,15 @@ def interior_point(system: QuadraticSystem) -> np.ndarray:
 
 
 def _batch_boundary(fs: _FloatSystem, x0: np.ndarray, dirs: np.ndarray):
-    """Boundary hit per ray by growth + bisection on max_j f_j.
+    """Boundary hit per ray from the closed-form exit of fs.ray_exit.
 
-    Returns (points, hit_mask, values); rays still feasible after the growth
-    cap are recession rays and come back unmasked.
+    Returns (points, hit_mask, values); recession rays come back unmasked
+    with their point at x0.
     """
-    count = len(dirs)
-    t_lo = np.zeros(count)
-    t_hi = np.ones(count)
-    for _ in range(45):
-        feas = fs.max_batch(x0 + t_hi[:, None] * dirs) <= 0.0
-        if not feas.any():
-            break
-        t_lo[feas] = t_hi[feas]
-        t_hi[feas] *= 2.0
-    hit = fs.max_batch(x0 + t_hi[:, None] * dirs) > 0.0
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        inside = fs.max_batch(x0 + mid[:, None] * dirs) <= 0.0
-        t_lo = np.where(inside, mid, t_lo)
-        t_hi = np.where(inside, t_hi, mid)
-    pts = x0 + t_lo[:, None] * dirs
-    vals = fs.eval_batch(pts)
-    converged = (t_hi - t_lo) <= BISECT_TOL * np.maximum(1.0, t_hi)
-    return pts, hit & converged, vals
+    t = fs.ray_exit(x0, dirs)
+    hit = np.isfinite(t)
+    pts = x0 + np.where(hit, t, 0.0)[:, None] * dirs
+    return pts, hit, fs.eval_batch(pts)
 
 
 def boundary_sample(
@@ -593,7 +623,7 @@ def boundary_sample(
 ) -> np.ndarray | None:
     """Boundary point on the ray x0 + t*direction, or None for a recession
     ray that never leaves the set."""
-    fs = _FloatSystem(system)
+    fs = _FloatSystem.from_system(system)
     x0 = np.asarray(x0, dtype=float)
     d = np.asarray(direction, dtype=float)
     if float(fs.eval_point(x0).max(initial=-np.inf)) > 0:
@@ -611,7 +641,7 @@ class _DimContext:
 
     def __init__(self, system: QuadraticSystem):
         self.system = system
-        self.fs = _FloatSystem(system)
+        self.fs = _FloatSystem.from_system(system)
         self.classes = [classify(q) for q in system.constraints]
         self._spaces: dict[tuple[int, ...], Subspace] = {}
 
@@ -669,12 +699,10 @@ class _DimContext:
     def active_set(self, fvals: np.ndarray) -> tuple[int, ...]:
         return tuple(int(j) for j in np.flatnonzero(fvals >= -TOL_ACTIVE))
 
-    def measure(self, x: np.ndarray, fvals: np.ndarray | None = None) -> int:
-        if fvals is None:
-            fvals = self.fs.eval_point(x)
+    def measure(self, x: np.ndarray, fvals: np.ndarray, active: tuple[int, ...]) -> int:
+        """Face dimension at x, given fvals = f(x) and active_set(fvals)."""
         if fvals.size and float(fvals.max()) > TOL_ACTIVE:
             raise ValueError("point is not feasible within tolerance")
-        active = self.active_set(fvals) if fvals.size else ()
         if not active:
             return self.system.dim
         space = self.direction_space(active)
@@ -694,7 +722,8 @@ def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
     pt = np.array([float(e) for e in x], dtype=float)
     if len(pt) != system.dim:
         raise ValueError("point dimension mismatch")
-    return ctx.measure(pt)
+    fvals = ctx.fs.eval_point(pt)
+    return ctx.measure(pt, fvals, ctx.active_set(fvals))
 
 
 # ---------------------------------------------------------------------------
@@ -702,17 +731,14 @@ def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
 
 
 def _sampled_directions(n: int, samples: int, seed: int) -> np.ndarray:
-    dirs = np.empty((samples, n))
-    for i in range(samples):
-        v = np.random.default_rng((seed, i)).standard_normal(n)
-        norm = np.linalg.norm(v)
-        retry = 0
-        while norm < 1e-12:
-            retry += 1
-            v = np.random.default_rng((seed, i, retry)).standard_normal(n)
-            norm = np.linalg.norm(v)
-        dirs[i] = v / norm
-    return dirs
+    """Unit directions from one generator; a run is a prefix of longer runs."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((samples, n))
+    norms = np.linalg.norm(dirs, axis=1)
+    while (tiny := norms < 1e-12).any():
+        dirs[tiny] = rng.standard_normal((int(tiny.sum()), n))
+        norms = np.linalg.norm(dirs, axis=1)
+    return dirs / norms[:, None]
 
 
 def _restrict_affine(system: QuadraticSystem):
@@ -804,7 +830,7 @@ def _gauss_newton_tuple(
     rows = list(tup)
     for _ in range(NEWTON_MAX_ITER):
         f = fs.eval_point(x)[rows]
-        if np.abs(f).max() <= BISECT_TOL:
+        if np.abs(f).max() <= NEWTON_TOL:
             return x
         jac = fs.gradients(x)[rows]
         try:
@@ -844,8 +870,9 @@ def probe_signature(
     """Probabilistic signature from seeded boundary sampling.
 
     Affine-subspace constraints are removed by exact restriction first.
-    Each of `samples` rays gets its own generator seeded by (seed, index),
-    so runs are reproducible regardless of batching.  After sampling, every
+    The `samples` ray directions come from one generator seeded by seed, so
+    the same seed gives the same report and a run with more samples shoots
+    the same rays first.  After sampling, every
     constraint tuple up to tuple_cap that was never seen jointly active gets
     targeted Newton refinement, which reaches corner faces that rays miss
     almost surely.  Samples whose active set fails cross-validation are
@@ -898,7 +925,7 @@ def probe_signature(
         for j in active:
             first_hit.setdefault(j, pts[i])
         try:
-            d = ctx.measure(pts[i], fv)
+            d = ctx.measure(pts[i], fv, active)
         except ProbeMismatch:
             skipped += 1
             continue
@@ -929,11 +956,12 @@ def probe_signature(
                 fv = ctx.fs.eval_point(sol)
                 if fv.max() > TOL_ACTIVE:
                     continue
+                active = ctx.active_set(fv)
                 try:
-                    d = ctx.measure(sol, fv)
+                    d = ctx.measure(sol, fv, active)
                 except ProbeMismatch:
                     continue
-                seen_active.add(ctx.active_set(fv))
+                seen_active.add(active)
                 if d not in dims:
                     dims[d] = lift(sol)
                 break

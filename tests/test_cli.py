@@ -76,6 +76,14 @@ def test_verify_malformed_input_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_samples_below_one(tmp_path, samples):
+    path = ball_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--probe", "--samples", samples])
+    assert exc.value.code == 2
+
+
 def test_verify_infeasible_system(tmp_path, capsys):
     empty = ConvexQuadratic(A=((1, 0), (0, 1)), a=(0, 0), alpha=1)
     path = write_system(
@@ -176,6 +184,14 @@ def test_slice_empty_exit_2(tmp_path, capsys):
     )
     assert main(["slice", path, "--spec", str(spec)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_slice_without_constraints_exit_2(tmp_path, capsys):
+    path = write_system(tmp_path / "free.json", QuadraticSystem(dim=2, constraints=()))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base_point": [0, 0], "u": [1, 0], "v": [0, 1]}))
+    assert main(["slice", path, "--spec", str(spec)]) == 2
+    assert "every ray stayed feasible out to the extent" in capsys.readouterr().err
 
 
 def test_slice_bad_spec_exit_2(tmp_path, capsys):

@@ -223,6 +223,16 @@ def test_slice_partial_for_unbounded_slab():
         assert abs(abs(st[0]) - 1.0) <= 1e-6
 
 
+def test_slice_keeps_every_ray_within_extent():
+    disc = ConvexQuadratic(A=((1, 0), (0, 1)), a=(0, 0), alpha=-25)
+    system = QuadraticSystem(dim=2, constraints=(disc,))
+    spec = SliceSpec(base_point=(0, 0), u=(1, 0), v=(0, 1), resolution=32, extent=6)
+    thetas, st_rows, _ = slice_boundary(system, spec)
+    assert len(thetas) == 32
+    for st in st_rows:
+        assert abs(math.hypot(st[0], st[1]) - 5.0) <= 1e-6
+
+
 def test_slice_empty_cases():
     system = QuadraticSystem(dim=3, constraints=(build_ball(3),))
     offplane = SliceSpec(base_point=(0, 0, 2), u=(1, 0, 0), v=(0, 1, 0))

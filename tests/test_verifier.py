@@ -158,6 +158,28 @@ def test_boundary_sample_hit_and_recession():
         boundary_sample(ball, (3.0, 0.0), (1.0, 0.0))
 
 
+def test_boundary_sample_stops_at_first_exit():
+    # ball and cylinders: each hit is feasible and a step past it is not
+    system = build_ball_cylinder_system(Signature.of(0, 1, 3))
+    rng = np.random.default_rng(8)
+    for d in rng.standard_normal((40, 3)):
+        hit = boundary_sample(system, (0.0, 0.0, 0.0), d)
+        beyond = tuple(hit + 1e-6 * d / np.linalg.norm(d))
+        assert max(float(evaluate(q, tuple(hit))) for q in system.constraints) <= 1e-12
+        assert max(float(evaluate(q, beyond)) for q in system.constraints) > 0
+
+
+def test_boundary_sample_far_hit_is_feasible():
+    # paraboloid x^2 + y <= 0, ray almost along its axis: the exit lies near
+    # t = 1e8, where rounding in f is far above the activity tolerance
+    q = ConvexQuadratic(A=((1, 0), (0, 0)), a=(0, F(1, 2)), alpha=0)
+    parab = QuadraticSystem(dim=2, constraints=(q,))
+    d = np.array([1e-4, -1.0]) / np.hypot(1e-4, 1.0)
+    hit = boundary_sample(parab, (0.0, -1.0), d)
+    assert hit is not None and hit[1] < -1e7
+    assert -1e-6 <= evaluate(q, tuple(hit)) <= 0
+
+
 def test_interior_point_uses_witness():
     system = build_ball_cylinder_system(Signature.of(0, 2, 4))
     x = interior_point(system)

@@ -8,12 +8,17 @@ coordinates.  Every reported dimension carries a rational witness point.
 
 The probe path is probabilistic: it restricts away affine-subspace
 constraints exactly, finds an interior point, shoots seeded random rays to
-the boundary, reads the minimal face dimension at each hit off the active
-set, and refines with targeted Newton solves on small constraint tuples so
-that joint activity across blocks is reached.  Active-set direction spaces
-are computed twice (classification table vs. stacked null space) and every
-claimed face direction is probed at +-eps in floating point; disagreement
-surfaces as ProbeMismatch instead of being resolved silently.
+the boundary and reads the minimal face dimension at each hit off the
+active set.  It then refines with targeted Gauss-Newton solves on single
+constraints and small constraint tuples, so that faces no ray reaches
+(joint activity across blocks, constraints that touch the set only where
+rays almost never land) are found too; each round solves one start of
+every unresolved tuple in one vectorized batch.  Constraints never active
+at a hit or a refined point are named in a warning.  Active-set direction
+spaces are computed twice (classification table vs. stacked null space)
+and every claimed face direction is probed at +-eps in floating point;
+disagreement surfaces as ProbeMismatch instead of being resolved
+silently.
 
 Ray exits are closed-form quadratic roots, pulled back until the hit point
 evaluates feasible.  Tolerances: activity and slack 1e-8, face probe step
@@ -637,16 +642,20 @@ def boundary_sample(
 
 
 class _DimContext:
-    """Per-system caches for active-set direction spaces."""
+    """Per-system caches for active-set direction spaces.
 
-    def __init__(self, system: QuadraticSystem):
+    classes[j] is classify(system.constraints[j]), computed by the caller.
+    """
+
+    def __init__(self, system: QuadraticSystem, classes: list[QuadraticClass]):
         self.system = system
         self.fs = _FloatSystem.from_system(system)
-        self.classes = [classify(q) for q in system.constraints]
-        self._spaces: dict[tuple[int, ...], Subspace] = {}
+        self.classes = classes
+        self._spaces: dict[tuple[int, ...], tuple[Subspace, np.ndarray]] = {}
 
-    def direction_space(self, active: tuple[int, ...]) -> Subspace:
-        """Face direction space for an active set, checked two ways."""
+    def direction_space(self, active: tuple[int, ...]) -> tuple[Subspace, np.ndarray]:
+        """Face direction space for an active set, checked two ways, with
+        its basis as unit float rows."""
         if active in self._spaces:
             return self._spaces[active]
         n = self.system.dim
@@ -672,22 +681,17 @@ class _DimContext:
                 f"direction-space routes disagree on active set {active}: "
                 f"{direct.dim} vs {recheck.dim}"
             )
-        self._spaces[active] = direct
-        return direct
+        basis = np.array(
+            [[float(e) for e in b] for b in direct.basis], dtype=float
+        ).reshape(direct.dim, n)
+        basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+        self._spaces[active] = direct, basis
+        return direct, basis
 
-    def float_basis(self, space: Subspace) -> np.ndarray:
-        out = np.array(
-            [[float(e) for e in b] for b in space.basis], dtype=float
-        ).reshape(space.dim, space.ambient_dim)
-        for i in range(len(out)):
-            out[i] /= np.linalg.norm(out[i])
-        return out
-
-    def probe_directions(self, x: np.ndarray, space: Subspace):
+    def probe_directions(self, x: np.ndarray, basis: np.ndarray):
         """Check that every claimed face direction survives +-eps probing."""
-        if space.dim == 0:
+        if not len(basis):
             return
-        basis = self.float_basis(space)
         cand = np.concatenate([x + PROBE_EPS * basis, x - PROBE_EPS * basis])
         worst = float(self.fs.max_batch(cand).max())
         if worst > TOL_ACTIVE:
@@ -705,8 +709,8 @@ class _DimContext:
             raise ValueError("point is not feasible within tolerance")
         if not active:
             return self.system.dim
-        space = self.direction_space(active)
-        self.probe_directions(x, space)
+        space, basis = self.direction_space(active)
+        self.probe_directions(x, basis)
         return space.dim
 
 
@@ -718,7 +722,7 @@ def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
     floating +-eps feasibility probe.  Raises ProbeMismatch on disagreement
     and ValueError when x is infeasible beyond tolerance.
     """
-    ctx = _DimContext(system)
+    ctx = _DimContext(system, [classify(q) for q in system.constraints])
     pt = np.array([float(e) for e in x], dtype=float)
     if len(pt) != system.dim:
         raise ValueError("point dimension mismatch")
@@ -744,7 +748,9 @@ def _sampled_directions(n: int, samples: int, seed: int) -> np.ndarray:
 def _restrict_affine(system: QuadraticSystem):
     """Exactly restrict away affine-subspace constraints.
 
-    Returns (reduced system, offset, columns): original points are
+    Returns (reduced system, classes, origin, offset, columns): classes[i]
+    is the classification of reduced constraint i, which restricts the
+    caller's constraint origin[i]; original points are
     offset + sum_k y_k * columns[k] for reduced coordinates y.  Face
     dimensions are preserved, the restriction being an affine isomorphism
     onto the affine hull.
@@ -752,26 +758,27 @@ def _restrict_affine(system: QuadraticSystem):
     offset: RVector = zero_vector(system.dim)
     columns: list[RVector] = [unit_vector(i, system.dim) for i in range(system.dim)]
     current = system
+    origin = list(range(len(system.constraints)))
 
     while True:
         kinds = [classify(q) for q in current.constraints]
         if any(c.kind is _KIND.EMPTY for c in kinds):
             raise InfeasibleSystem("a constraint admits no solution")
         keep = [
-            (q, c)
-            for q, c in zip(current.constraints, kinds)
+            (q, c, o)
+            for q, c, o in zip(current.constraints, kinds, origin)
             if c.kind is not _KIND.FULL_SPACE
         ]
         target = next(
             (
                 (q, c)
-                for q, c in keep
+                for q, c, _ in keep
                 if c.kind in (_KIND.AFFINE_SUBSPACE, _KIND.SINGLETON)
             ),
             None,
         )
         if target is None:
-            constraints = tuple(q for q, _ in keep)
+            constraints = tuple(q for q, _, _ in keep)
             witness = current.interior_witness
             if witness is not None and any(
                 evaluate(q, witness) >= 0 for q in constraints
@@ -783,6 +790,8 @@ def _restrict_affine(system: QuadraticSystem):
                     constraints=constraints,
                     interior_witness=witness,
                 ),
+                [c for _, c, _ in keep],
+                [o for _, _, o in keep],
                 offset,
                 columns,
             )
@@ -795,7 +804,8 @@ def _restrict_affine(system: QuadraticSystem):
         )
         columns = [_combine_columns(columns, b) for b in sub_basis]
         new_constraints = []
-        for q, _ in keep:
+        origin = []
+        for q, _, o in keep:
             if q is q0:
                 continue
             shifted_a = vec_add(mat_vec(q.A, base), q.a)
@@ -808,6 +818,7 @@ def _restrict_affine(system: QuadraticSystem):
             new_constraints.append(
                 ConvexQuadratic(A=new_rows, a=new_a, alpha=Fraction(new_alpha))
             )
+            origin.append(o)
         current = QuadraticSystem(
             dim=len(sub_basis), constraints=tuple(new_constraints)
         )
@@ -823,24 +834,40 @@ def _combine_columns(columns: list[RVector], coeffs: RVector) -> RVector:
     return out
 
 
-def _gauss_newton_tuple(
-    fs: _FloatSystem, tup: tuple[int, ...], start: np.ndarray
-) -> np.ndarray | None:
-    x = start.astype(float).copy()
-    rows = list(tup)
+def _gauss_newton_batch(
+    fs: _FloatSystem, rows: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Gauss-Newton toward f_j(x) = 0 for all j in rows[i], from starts[i],
+    for every candidate i in one batch.
+
+    rows is a K x k integer array and starts is K x n.  Each step is the
+    minimum-norm least-squares step, through an SVD pseudo-inverse with
+    the lstsq cutoff max(k, n) * eps.  A candidate converges once every
+    |f_j| <= NEWTON_TOL; it fails when x turns non-finite or its norm passes
+    1e12, or when NEWTON_MAX_ITER steps do not converge.  Returns one row
+    per candidate: its solution, or NaN where it failed.
+    """
+    x = np.array(starts, dtype=float)
+    out = np.full_like(x, np.nan)
+    live = np.arange(len(x))
+    rcond = max(rows.shape[1], fs.n) * np.finfo(float).eps
     for _ in range(NEWTON_MAX_ITER):
-        f = fs.eval_point(x)[rows]
-        if np.abs(f).max() <= NEWTON_TOL:
-            return x
-        jac = fs.gradients(x)[rows]
-        try:
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        x = x + step
-        if not np.isfinite(x).all() or np.linalg.norm(x) > 1e12:
-            return None
-    return None
+        if not len(live):
+            break
+        xl, r = x[live], rows[live]
+        # A_j x for every constraint, then the candidate's own rows: a
+        # gather of fs.A[r] would hold K * k copies of an n x n matrix.
+        ax = np.tensordot(xl, fs.A, axes=(1, 2))[np.arange(len(live))[:, None], r]
+        half_grad = ax + fs.a[r]
+        f = np.einsum("kri,ki->kr", half_grad + fs.a[r], xl) + fs.alpha[r]
+        done = np.abs(f).max(axis=1) <= NEWTON_TOL
+        out[live[done]] = xl[done]
+        step = np.linalg.pinv(2.0 * half_grad[~done], rcond=rcond) @ f[~done, :, None]
+        live, xl = live[~done], xl[~done] - step[:, :, 0]
+        ok = np.linalg.norm(xl, axis=1) <= 1e12  # False on non-finite rows
+        live = live[ok]
+        x[live] = xl[ok]
+    return out
 
 
 def _block_lineality_warnings(system: QuadraticSystem) -> list[str]:
@@ -872,16 +899,21 @@ def probe_signature(
     Affine-subspace constraints are removed by exact restriction first.
     The `samples` ray directions come from one generator seeded by seed, so
     the same seed gives the same report and a run with more samples shoots
-    the same rays first.  After sampling, every
-    constraint tuple up to tuple_cap that was never seen jointly active gets
-    targeted Newton refinement, which reaches corner faces that rays miss
-    almost surely.  Samples whose active set fails cross-validation are
-    skipped and counted in warnings; the result is a lower approximation of
-    the signature in the worst case, never an overclaim.
+    the same rays first.  After sampling, every constraint tuple of size 1
+    to tuple_cap that was never seen jointly active gets targeted
+    Gauss-Newton refinement, which reaches faces that rays miss almost
+    surely.  Refinement goes size by size in start-major rounds: round k
+    solves the k-th start of every unresolved tuple in one batch, then the
+    tuples are resolved in order by the first start that lands on a
+    feasible point whose active set cross-validates.  Samples whose active
+    set fails cross-validation are skipped and counted in warnings, and a
+    warning names, by index in `system`, every constraint that was never
+    active at a hit or a refined point; the result is a lower
+    approximation of the signature in the worst case, never an overclaim.
     """
     if seed is None:
         seed = DEFAULT_SEED
-    reduced, offset, columns = _restrict_affine(system)
+    reduced, classes, origin, offset, columns = _restrict_affine(system)
     warnings: list[str] = []
     n = reduced.dim
 
@@ -907,14 +939,14 @@ def probe_signature(
         )
 
     warnings.extend(_block_lineality_warnings(reduced))
-    ctx = _DimContext(reduced)
+    ctx = _DimContext(reduced, classes)
     x0 = interior_point(reduced)
     dims[n] = lift(x0)
 
     directions = _sampled_directions(n, samples, seed)
     pts, ok, vals = _batch_boundary(ctx.fs, x0, directions)
 
-    seen_active: set[tuple[int, ...]] = set()
+    seen_active: set[frozenset[int]] = set()
     first_hit: dict[int, np.ndarray] = {}
     skipped = 0
     for i in np.flatnonzero(ok):
@@ -929,7 +961,7 @@ def probe_signature(
         except ProbeMismatch:
             skipped += 1
             continue
-        seen_active.add(active)
+        seen_active.add(frozenset(active))
         if d not in dims:
             dims[d] = lift(pts[i])
     if skipped:
@@ -938,33 +970,69 @@ def probe_signature(
             "cross-validation near tolerance"
         )
 
-    # Targeted refinement: corners where several constraints meet have
-    # measure zero for random rays, so solve for joint activity directly.
+    # Targeted refinement: corners where several constraints meet, and
+    # constraints no ray reached, have measure zero for random rays, so
+    # solve for activity directly.  Round k refines the k-th start of every
+    # unresolved tuple of one size in one batch; a tuple is resolved by its
+    # first start that lands on a feasible, cross-validated point, or once
+    # a recorded active set covers it.
     m = ctx.fs.m
-    for size in range(2, min(tuple_cap, m) + 1):
+    ever_active = set(first_hit)
+
+    def covered(tup: tuple[int, ...]) -> bool:
+        return any(act.issuperset(tup) for act in seen_active)
+
+    def record(sol: np.ndarray) -> bool:
+        """Record the face at a refined point; False if it is rejected."""
+        if np.isnan(sol[0]):
+            return False
+        fv = ctx.fs.eval_point(sol)
+        if fv.max() > TOL_ACTIVE:
+            return False
+        active = ctx.active_set(fv)
+        ever_active.update(active)
+        try:
+            d = ctx.measure(sol, fv, active)
+        except ProbeMismatch:
+            return False
+        seen_active.add(frozenset(active))
+        if d not in dims:
+            dims[d] = lift(sol)
+        return True
+
+    for size in range(1, min(tuple_cap, m) + 1):
+        pending = []
         for tup in itertools.combinations(range(m), size):
-            if any(set(tup) <= set(act) for act in seen_active):
-                continue
             starts = [first_hit[j] for j in tup if j in first_hit]
             if starts:
                 starts.append(np.mean(starts, axis=0))
             starts.append(x0)
-            for start in starts:
-                sol = _gauss_newton_tuple(ctx.fs, tup, start)
-                if sol is None:
-                    continue
-                fv = ctx.fs.eval_point(sol)
-                if fv.max() > TOL_ACTIVE:
-                    continue
-                active = ctx.active_set(fv)
-                try:
-                    d = ctx.measure(sol, fv, active)
-                except ProbeMismatch:
-                    continue
-                seen_active.add(active)
-                if d not in dims:
-                    dims[d] = lift(sol)
+            pending.append((tup, starts))
+        for k in itertools.count():
+            pending = [
+                (tup, starts)
+                for tup, starts in pending
+                if k < len(starts) and not covered(tup)
+            ]
+            if not pending:
                 break
+            sols = _gauss_newton_batch(
+                ctx.fs,
+                np.array([tup for tup, _ in pending]),
+                np.array([starts[k] for _, starts in pending]),
+            )
+            unresolved = []
+            for entry, sol in zip(pending, sols):
+                if not covered(entry[0]) and not record(sol):
+                    unresolved.append(entry)
+            pending = unresolved
+
+    never = sorted(origin[j] for j in range(m) if j not in ever_active)
+    if never:
+        warnings.append(
+            f"constraint(s) {', '.join(map(str, never))} never active at a "
+            "boundary hit or refinement; faces on them may be missing"
+        )
 
     return VerificationReport(
         signature=Signature(tuple(dims)),

@@ -5,7 +5,9 @@ minimal_face_dim_at applied to its own witnesses; the probe path is checked
 against the exact path on a seeded battery of constructed systems.
 """
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,8 @@ from facetforge.constructor import (
 from facetforge.quadratics import ConvexQuadratic, QuadraticSystem, embed, evaluate
 from facetforge.signatures import Signature
 from facetforge.verifier import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     DisjointnessCertificate,
     InfeasibleSystem,
     NoInteriorFound,
@@ -33,6 +37,8 @@ from facetforge.verifier import (
     interior_point,
     minimal_face_dim_at,
     probe_signature,
+    _FloatSystem,
+    _gauss_newton_batch,
 )
 
 F = Fraction
@@ -248,3 +254,102 @@ def test_probe_matches_exact_on_random_templates():
         assert probe.signature == sig, f"probe missed on {sig}"
         skipped = [w for w in probe.warnings if "skipped" in w]
         assert not skipped
+
+
+@pytest.mark.parametrize("top, seed", [(12, 42), (12, 7), (10, 7)])
+def test_probe_recovers_faces_no_ray_reaches(top, seed):
+    # on these templates no ray of the 2000 touches some cylinders; the
+    # single-constraint refinement still finds their faces
+    sig = Signature.of(*range(top + 1))
+    report = probe_signature(realize(sig).system, samples=2000, seed=seed)
+    assert report.signature == sig
+    assert not any("never active" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("prefix", [(), ("plane",)])
+def test_probe_names_never_active_constraints(prefix):
+    # the ball of radius 2 contains the unit ball, so it is never active;
+    # the warning names it by its index in the caller's system, also when
+    # an affine constraint before it is restricted away
+    n = 3 if prefix else 2
+    plane = ConvexQuadratic(A=((1, -1, 0), (-1, 1, 0), (0, 0, 0)), a=(0, 0, 0), alpha=0)
+    constraints = (plane,) * len(prefix) + (ball_at((0,) * n, 1, n), ball_at((0,) * n, 4, n))
+    system = QuadraticSystem(dim=n, constraints=constraints)
+    report = probe_signature(system, samples=300, seed=2)
+    assert report.signature.elements == (0, 2)
+    never = [w for w in report.warnings if "never active" in w]
+    assert never == [
+        f"constraint(s) {len(constraints) - 1} never active at a boundary hit "
+        "or refinement; faces on them may be missing"
+    ]
+    assert not re.search(r"(\d+) of \d+ samples skipped", never[0])
+    assert "skipped" not in never[0]
+
+
+def _float_system(*constraints):
+    return _FloatSystem.from_system(
+        QuadraticSystem(dim=constraints[0].dim, constraints=constraints)
+    )
+
+
+# Candidates on (unit ball, halfspace 2 x_0 <= 1), whose boundaries meet, and
+# on (x^2 <= 1, (x - 3)^2 <= 1) lifted to the plane, whose boundaries do not.
+_MEETING = (ball_at((0, 0), 1, 2), ConvexQuadratic(A=((0, 0), (0, 0)), a=(1, 0), alpha=-1))
+_APART = (ConvexQuadratic(A=((1, 0), (0, 0)), a=(0, 0), alpha=-1),
+          ConvexQuadratic(A=((1, 0), (0, 0)), a=(-3, 0), alpha=8))
+
+
+def test_gauss_newton_batch_meeting_pair_converges():
+    # from a start off the x_0 axis (on it, the ball's gradient has no x_1
+    # component and the steps never leave the axis)
+    fs = _float_system(*_MEETING)
+    sol = _gauss_newton_batch(fs, np.array([[0, 1]]), np.array([[0.0, 0.5]]))[0]
+    assert np.isfinite(sol).all()
+    assert np.abs(fs.eval_point(sol)).max() <= NEWTON_TOL
+    assert np.allclose(sol, [0.5, np.sqrt(0.75)])
+
+
+def test_gauss_newton_batch_disjoint_pair_fails():
+    fs = _float_system(*_APART)
+    sol = _gauss_newton_batch(fs, np.array([[0, 1]]), np.zeros((1, 2)))
+    assert np.isnan(sol).all()
+
+
+def test_gauss_newton_batch_keeps_candidates_apart():
+    fs = _float_system(*_MEETING, *_APART)
+    rows = np.array([[2, 3], [0, 1], [2, 3], [0, 1]])
+    starts = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, -1.0], [0.3, -0.2]])
+    sols = _gauss_newton_batch(fs, rows, starts)
+    assert np.isnan(sols[[0, 2]]).all()
+    assert np.isfinite(sols[[1, 3]]).all()
+    for sol in sols[[1, 3]]:
+        assert np.abs(fs.eval_point(sol)[:2]).max() <= NEWTON_TOL
+
+
+def _lstsq_gauss_newton(fs, rows, start):
+    # reference: one lstsq solve per step, one candidate at a time
+    x = start.copy()
+    for _ in range(NEWTON_MAX_ITER):
+        f = fs.eval_point(x)[rows]
+        if np.abs(f).max() <= NEWTON_TOL:
+            return x
+        step, *_ = np.linalg.lstsq(fs.gradients(x)[rows], -f, rcond=None)
+        x = x + step
+        if not np.isfinite(x).all() or np.linalg.norm(x) > 1e12:
+            break
+    return np.full_like(x, np.nan)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_gauss_newton_batch_rows_match_single_runs(size):
+    fs = _FloatSystem.from_system(realize(Signature.of(*range(9))).system)
+    rows = np.array(list(itertools.combinations(range(fs.m), size)))
+    starts = np.random.default_rng(size).standard_normal((len(rows), fs.n)) / 2
+    batch = _gauss_newton_batch(fs, rows, starts)
+    alone = np.array([_gauss_newton_batch(fs, r[None], s[None])[0] for r, s in zip(rows, starts)])
+    np.testing.assert_array_equal(batch, alone)
+    # the pseudo-inverse step and the lstsq step round differently, so the
+    # reference agrees to a tolerance far above rounding and far below the
+    # distance between distinct solutions
+    reference = np.array([_lstsq_gauss_newton(fs, r, s) for r, s in zip(rows, starts)])
+    np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-9)

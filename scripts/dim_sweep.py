@@ -1,0 +1,41 @@
+"""Time the template {0..n} through realize, exact_signature and a JSON round trip.
+
+    PYTHONPATH=src python3 scripts/dim_sweep.py [n ...]
+
+Prints one JSON object: for each n (default 8 16 24 32 48) the wall time of
+each step in seconds, and whether the certified signature is {0..n} and the
+round trip gives back an equal system.
+"""
+
+import json
+import sys
+import time
+
+from facetforge import formats
+from facetforge.constructor import realize
+from facetforge.signatures import Signature
+from facetforge.verifier import exact_signature
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, round(time.perf_counter() - start, 4)
+
+
+def main(sizes):
+    sweep = {}
+    for n in sizes:
+        sig = Signature(tuple(range(n + 1)))
+        system, t_realize = _timed(lambda: realize(sig).system)
+        report, t_exact = _timed(exact_signature, system)
+        loaded, t_json = _timed(
+            lambda: formats.system_from_json(json.loads(json.dumps(formats.system_to_json(system))))
+        )
+        sweep[n] = {"realize_s": t_realize, "exact_signature_s": t_exact, "json_round_trip_s": t_json,
+                    "signature_ok": report.signature == sig, "round_trip_ok": loaded == system}
+    print(json.dumps({"template": "{0..n}", "sweep": sweep}))
+
+
+if __name__ == "__main__":
+    main([int(a) for a in sys.argv[1:]] or [8, 16, 24, 32, 48])

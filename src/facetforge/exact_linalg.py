@@ -1,9 +1,13 @@
 """Exact rational linear algebra on tuples of fractions.Fraction.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  Every
-operation here is exact; floating point never enters.  Rank runs on a
-fraction-free (Bareiss) integer elimination to keep coefficient growth in
-check; basis extraction uses plain Fraction row reduction.
+Vectors are tuples of Fraction, dense matrices are tuples of row tuples.  A
+matrix can also be given by its nonzero entries as rows {i: {j: m_ij}}
+(SparseRows, built by sparse_rows); rows with no nonzero entry are left
+out.  The symmetry test and the LDL^T elimination take either form and
+touch nonzeros only.  Every operation here is exact; floating point never
+enters.  Rank runs on a fraction-free (Bareiss) integer elimination to keep
+coefficient growth in check; basis extraction uses plain Fraction row
+reduction.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from math import lcm
 Rational = Fraction
 RVector = tuple[Fraction, ...]
 RMatrix = tuple[RVector, ...]
+SparseRows = dict[int, dict[int, Fraction]]
 
 
 def rvector(entries) -> RVector:
@@ -22,7 +27,9 @@ def rvector(entries) -> RVector:
 
 
 def rmatrix(rows) -> RMatrix:
-    out = tuple(tuple(Fraction(e) for e in row) for row in rows)
+    out = tuple(
+        tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in rows
+    )
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("matrix rows have unequal lengths")
     return out
@@ -67,13 +74,21 @@ def transpose(m: RMatrix) -> RMatrix:
     return tuple(zip(*m)) if m else ()
 
 
-def is_zero_matrix(m: RMatrix) -> bool:
-    return all(e == 0 for row in m for e in row)
+def sparse_rows(m: RMatrix) -> SparseRows:
+    """Nonzero entries of a dense matrix as rows {i: {j: m_ij}}."""
+    out = {}
+    for i, row in enumerate(m):
+        nonzero = {j: e for j, e in enumerate(row) if e}
+        if nonzero:
+            out[i] = nonzero
+    return out
 
 
-def is_symmetric(m: RMatrix) -> bool:
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+def is_symmetric(m: RMatrix | SparseRows) -> bool:
+    rows = m if isinstance(m, dict) else sparse_rows(m)
+    return all(
+        rows.get(j, {}).get(i) == e for i, row in rows.items() for j, e in row.items()
+    )
 
 
 def _integer_rows(m: RMatrix) -> list[list[int]]:
@@ -237,7 +252,9 @@ def project_onto(v: RVector, s: Subspace) -> RVector:
     return out
 
 
-def psd_ldlt(m: RMatrix) -> tuple[bool, tuple[Fraction, ...]]:
+def psd_ldlt(
+    m: RMatrix | SparseRows, n: int | None = None
+) -> tuple[bool, tuple[Fraction, ...]]:
     """Exact positive-semidefiniteness test by pivoted LDL^T elimination.
 
     Walks the diagonal; a positive pivot eliminates its row and column, a
@@ -245,28 +262,38 @@ def psd_ldlt(m: RMatrix) -> tuple[bool, tuple[Fraction, ...]]:
     negative pivot (or a zero pivot with a nonzero row) terminates with a
     non-PSD verdict.  Returns (is_psd, pivots), where the last pivot of a
     failed run is the offending diagonal entry.
+
+    m is a dense square matrix, or the SparseRows of an n x n matrix.  Only
+    nonzero entries are stored and eliminated; fill-in is added as it
+    appears, so the pivots equal those of dense elimination.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
+    if not isinstance(m, dict):
+        n = len(m)
+        if any(len(row) != n for row in m):
+            raise ValueError("matrix is not square")
+        m = sparse_rows(rmatrix(m))
+    elif n is None:
+        raise ValueError("n required for a matrix given by its nonzero rows")
     if not is_symmetric(m):
         raise ValueError("matrix is not symmetric")
-    s = [[Fraction(e) for e in row] for row in m]
+    s = {i: dict(row) for i, row in m.items()}
     pivots: list[Fraction] = []
     for k in range(n):
-        d = s[k][k]
+        row = s.get(k, {})
+        d = row.get(k, Fraction(0))
         if d < 0:
             return False, tuple(pivots + [d])
+        # By symmetry the trailing row k is also the trailing column k.
+        below = [(i, e) for i, e in row.items() if i > k and e]
         if d == 0:
-            if any(s[k][j] != 0 for j in range(k + 1, n)):
+            if below:
                 return False, tuple(pivots + [d])
             pivots.append(d)
             continue
         pivots.append(d)
-        for i in range(k + 1, n):
-            if s[i][k] == 0:
-                continue
-            f = s[i][k] / d
-            for j in range(k + 1, n):
-                s[i][j] -= f * s[k][j]
+        for i, e in below:
+            f = e / d
+            target = s.setdefault(i, {})
+            for j, v in below:
+                target[j] = target.get(j, 0) - f * v
     return True, tuple(pivots)

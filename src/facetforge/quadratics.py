@@ -29,14 +29,13 @@ from .exact_linalg import (
     Subspace,
     dot,
     is_symmetric,
-    is_zero_matrix,
-    mat_vec,
     null_space_basis,
     project_onto,
     psd_ldlt,
     rmatrix,
     rvector,
     solve_linear,
+    sparse_rows,
     vec_scale,
     zero_vector,
 )
@@ -45,7 +44,14 @@ from .signatures import Signature
 
 @dataclass(frozen=True)
 class ConvexQuadratic:
-    """One inequality <Ax,x> + 2<a,x> + alpha <= 0 with A symmetric PSD."""
+    """One inequality <Ax,x> + 2<a,x> + alpha <= 0 with A symmetric PSD.
+
+    A stays the dense tuple of row tuples that equality, hashing, repr and
+    the JSON codec read.  Construction also derives `nonzeros`, the nonzero
+    entries of A as rows {i: {j: A_ij}} (rows of zeros left out), which is
+    not a dataclass field; symmetry, the PSD test, evaluation and
+    classification work on it.
+    """
 
     A: RMatrix
     a: RVector
@@ -58,9 +64,10 @@ class ConvexQuadratic:
         n = len(self.a)
         if len(self.A) != n or any(len(row) != n for row in self.A):
             raise ValueError("matrix shape does not match the linear term")
-        if not is_symmetric(self.A):
+        object.__setattr__(self, "nonzeros", sparse_rows(self.A))
+        if not is_symmetric(self.nonzeros):
             raise ValueError("quadratic form matrix must be symmetric")
-        ok, _ = psd_ldlt(self.A)
+        ok, _ = psd_ldlt(self.nonzeros, n)
         if not ok:
             raise ValueError("quadratic form matrix is not positive semidefinite")
 
@@ -74,13 +81,15 @@ def evaluate(q: ConvexQuadratic, x) -> Fraction | float:
     if len(x) != q.dim:
         raise ValueError("point dimension does not match the constraint")
     if all(isinstance(e, (Fraction, int)) for e in x):
-        xr = rvector(x)
-        return dot(xr, mat_vec(q.A, xr)) + 2 * dot(q.a, xr) + q.alpha
-    xf = [float(e) for e in x]
-    total = float(q.alpha)
-    for i, row in enumerate(q.A):
-        total += xf[i] * sum(float(c) * xj for c, xj in zip(row, xf))
-    total += 2.0 * sum(float(c) * xj for c, xj in zip(q.a, xf))
+        total = q.alpha
+    else:
+        x = [float(e) for e in x]
+        total = float(q.alpha)
+    # f(x) = alpha + sum_i x_i (sum_j A_ij x_j + 2 a_i), over nonzero x_i.
+    for i, xi in enumerate(x):
+        if xi:
+            row = q.nonzeros.get(i, {})
+            total += xi * (sum(e * x[j] for j, e in row.items()) + 2 * q.a[i])
     return total
 
 
@@ -117,7 +126,7 @@ class QuadraticClass:
 
 def classify(q: ConvexQuadratic) -> QuadraticClass:
     n = q.dim
-    if is_zero_matrix(q.A):
+    if not q.nonzeros:
         if all(e == 0 for e in q.a):
             if q.alpha > 0:
                 return QuadraticClass(QuadraticKind.EMPTY, n, None)

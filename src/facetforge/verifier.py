@@ -146,11 +146,7 @@ class BlockSplit:
 
 
 def _support(q: ConvexQuadratic) -> set[int]:
-    sup = {i for i, e in enumerate(q.a) if e != 0}
-    for i, row in enumerate(q.A):
-        if any(e != 0 for e in row):
-            sup.add(i)
-    return sup
+    return {i for i, e in enumerate(q.a) if e}.union(q.nonzeros)
 
 
 def _restrict_constraint(q: ConvexQuadratic, idx: tuple[int, ...]) -> ConvexQuadratic:
@@ -308,9 +304,9 @@ def _single_constraint_block(
 def _parse_template_cylinder(q: ConvexQuadratic):
     """(index, c, r_squared) when q matches the centered cylinder shape."""
     n = q.dim
-    diag = [q.A[i][i] for i in range(n)]
-    if any(q.A[i][j] != 0 for i in range(n) for j in range(n) if i != j):
+    if any(j != i for i, row in q.nonzeros.items() for j in row):
         return None
+    diag = [q.A[i][i] for i in range(n)]
     try:
         idx = diag.index(Fraction(1))
     except ValueError:
@@ -331,13 +327,11 @@ def _parse_template_cylinder(q: ConvexQuadratic):
 
 
 def _is_unit_ball(q: ConvexQuadratic) -> bool:
-    n = q.dim
     return (
         q.alpha == -1
-        and all(e == 0 for e in q.a)
-        and all(
-            q.A[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
+        and not any(q.a)
+        and len(q.nonzeros) == q.dim
+        and all(row == {i: 1} for i, row in q.nonzeros.items())
     )
 
 
@@ -434,8 +428,11 @@ def exact_signature(system: QuadraticSystem) -> VerificationReport:
             for local, value in enumerate(wmap[d]):
                 x[blk.indices[local]] = value
         point = tuple(x)
-        for q in system.constraints:
-            assert evaluate(q, point) <= 0
+        for j, q in enumerate(system.constraints):
+            if evaluate(q, point) > 0:
+                raise AssertionError(
+                    f"witness for dimension {total + free} violates constraint {j}"
+                )
         witnesses[total + free] = point
 
     return VerificationReport(

@@ -1,0 +1,179 @@
+"""Property tests for the kernels that work on nonzero entries only.
+
+psd_ldlt and is_symmetric are compared with the dense elimination they
+replaced, kept here verbatim as the reference; evaluate is compared with
+the dense formula <Ax, x> + 2<a, x> + alpha.  Hypothesis runs derandomized,
+so every run draws the same examples.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from facetforge.exact_linalg import (
+    dot,
+    is_symmetric,
+    mat_vec,
+    psd_ldlt,
+    rmatrix,
+    sparse_rows,
+)
+from facetforge.quadratics import ConvexQuadratic, evaluate
+
+F = Fraction
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+def dense_psd_ldlt(m):
+    """The dense pivoted LDL^T loop that psd_ldlt replaced."""
+    n = len(m)
+    s = [[Fraction(e) for e in row] for row in m]
+    pivots: list[Fraction] = []
+    for k in range(n):
+        d = s[k][k]
+        if d < 0:
+            return False, tuple(pivots + [d])
+        if d == 0:
+            if any(s[k][j] != 0 for j in range(k + 1, n)):
+                return False, tuple(pivots + [d])
+            pivots.append(d)
+            continue
+        pivots.append(d)
+        for i in range(k + 1, n):
+            if s[i][k] == 0:
+                continue
+            f = s[i][k] / d
+            for j in range(k + 1, n):
+                s[i][j] -= f * s[k][j]
+    return True, tuple(pivots)
+
+
+def _gram(b, n):
+    return [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+
+
+def _permute(m, perm):
+    return [[m[perm[i]][perm[j]] for j in range(len(m))] for i in range(len(m))]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices up to 12 x 12 with sparse patterns."""
+    n = draw(st.integers(1, 12))
+    small = st.integers(-3, 3)
+    kind = draw(st.sampled_from(
+        ["zero_rows", "diagonal", "block_gram", "indefinite", "zero_pivot"]))
+    if kind == "diagonal":
+        m = [[0] * n for _ in range(n)]
+        for i, d in enumerate(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))):
+            m[i][i] = d
+    elif kind == "indefinite":
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if draw(st.booleans()):
+                    m[i][j] = m[j][i] = draw(small)
+    else:
+        # Block-diagonal Gram matrices B^T B: PSD, dense inside each block,
+        # so elimination fills in.
+        m = [[0] * n for _ in range(n)]
+        start = 0
+        while start < n:
+            size = draw(st.integers(1, n - start))
+            rows = draw(st.integers(0, size + 1))
+            b = [draw(st.lists(small, min_size=size, max_size=size)) for _ in range(rows)]
+            g = _gram(b, size)
+            for i in range(size):
+                for j in range(size):
+                    m[start + i][start + j] = g[i][j]
+            start += size
+        if kind == "zero_rows":
+            for k in draw(st.sets(st.integers(0, n - 1))):
+                for j in range(n):
+                    m[k][j] = m[j][k] = 0
+        elif kind == "zero_pivot" and n > 1:
+            k = draw(st.integers(0, n - 2))
+            j = draw(st.integers(k + 1, n - 1))
+            m[k][k] = 0
+            m[k][j] = m[j][k] = draw(st.sampled_from([-2, -1, 1, 2]))
+    return _permute(m, draw(st.permutations(range(n))))
+
+
+@SETTINGS
+@given(symmetric_matrices())
+def test_psd_ldlt_matches_dense_reference(m):
+    expected = dense_psd_ldlt(m)
+    assert psd_ldlt(rmatrix(m)) == expected
+    assert psd_ldlt(m) == expected
+    assert psd_ldlt(sparse_rows(rmatrix(m)), len(m)) == expected
+    assert all(isinstance(p, Fraction) for p in psd_ldlt(m)[1])
+
+
+@SETTINGS
+@given(symmetric_matrices(), st.data())
+def test_is_symmetric_matches_dense_reference(m, data):
+    n = len(m)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    m[i][j] += data.draw(st.integers(-1, 1))
+    expected = all(m[r][c] == m[c][r] for r in range(n) for c in range(r + 1, n))
+    assert is_symmetric(rmatrix(m)) == expected
+    assert is_symmetric(sparse_rows(rmatrix(m))) == expected
+
+
+@st.composite
+def quadratics_and_points(draw):
+    """A PSD quadratic with a sparse Gram matrix, and a point with zeros."""
+    n = draw(st.integers(1, 10))
+    small = st.integers(-3, 3)
+    b = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(draw(st.integers(0, 3)))]
+    for row in b:
+        for k in draw(st.sets(st.integers(0, n - 1))):
+            row[k] = 0
+    ratio = st.builds(F, st.integers(-20, 20), st.integers(1, 7))
+    a = draw(st.lists(ratio, min_size=n, max_size=n))
+    q = ConvexQuadratic(A=_gram(b, n), a=a, alpha=draw(ratio))
+    x = [draw(ratio) if draw(st.booleans()) else F(0) for _ in range(n)]
+    return q, tuple(x)
+
+
+def _dense_value(q, x):
+    return dot(x, mat_vec(q.A, x)) + 2 * dot(q.a, x) + q.alpha
+
+
+@SETTINGS
+@given(quadratics_and_points())
+def test_evaluate_matches_dense_formula(case):
+    q, x = case
+    value = evaluate(q, x)
+    assert isinstance(value, Fraction)
+    assert value == _dense_value(q, x)
+    ints = tuple(int(e) for e in x)
+    assert evaluate(q, ints) == _dense_value(q, tuple(F(e) for e in ints))
+
+    xf = tuple(float(e) for e in x)
+    value = evaluate(q, xf)
+    assert isinstance(value, float)
+    # The float point is an exact rational; scale the tolerance by the size
+    # of the terms, since they can cancel.
+    xr = tuple(F(e) for e in xf)
+    n = q.dim
+    scale = abs(q.alpha) + sum(
+        abs(q.A[i][j] * xr[i] * xr[j]) for i in range(n) for j in range(n)
+    ) + 2 * sum(abs(q.a[i] * xr[i]) for i in range(n))
+    assert abs(F(value) - _dense_value(q, xr)) <= F(1e-12) * max(scale, 1)
+
+
+def test_nonzero_index_is_invisible():
+    ints = ConvexQuadratic(A=((2, 0, 1), (0, 0, 0), (1, 0, 1)), a=(0, 1, 0), alpha=-3)
+    fracs = ConvexQuadratic(
+        A=tuple(tuple(F(e) for e in row) for row in ((2, 0, 1), (0, 0, 0), (1, 0, 1))),
+        a=(F(0), F(1), F(0)),
+        alpha=F(-3),
+    )
+    assert ints == fracs
+    assert hash(ints) == hash(fracs)
+    assert repr(ints) == repr(fracs)
+    assert [f.name for f in dataclasses.fields(ConvexQuadratic)] == ["A", "a", "alpha"]
+    assert ints.nonzeros == {0: {0: 2, 2: 1}, 2: {0: 1, 2: 1}}
+    assert dataclasses.replace(ints, alpha=-4).nonzeros == ints.nonzeros

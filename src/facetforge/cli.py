@@ -303,6 +303,10 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # Only input rationals beyond the float range reach float().
+        print(f"error: an input value is beyond the float range: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_linalg import RVector, rvector, unit_vector, zero_vector
-from .quadratics import ConvexQuadratic, QuadraticSystem, direct_sum, embed
+from .exact_linalg import RVector, dot, mat_vec, rvector, unit_vector, vec_add, zero_vector
+from .quadratics import ConvexQuadratic, QuadraticSystem, embed, evaluate
 from .signatures import (
     DecompositionCapExceeded,
     DecompositionTree,
     Leaf,
     Signature,
+    _dyadic_leafkey,
     decompose_min_cost,
     shift,
     tree_cost,
@@ -35,22 +36,28 @@ from .signatures import (
 )
 
 
-def boundary_disjointness_margins(c: Fraction, r: Fraction) -> dict[str, Fraction]:
-    """Exact margins whose joint positivity keeps cylinder boundaries apart.
+def template_margins(c: Fraction, r_sq: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(excess, separation, (1 + c)^2 - r^2) for cylinder offset c, radius^2 r_sq.
 
     excess = r^2 - c^2 - 1 > 0 makes every cylinder-boundary point inside
     the unit ball push its pivot coordinate up; separation = excess^2 - 2c^2
     pushes it above sqrt(1/2), so two distinct pivot coordinates would
-    exceed the ball; radius_gap = 1 + c - r keeps each cylinder's touching
+    exceed the ball; (1 + c)^2 - r^2 > 0 keeps each cylinder's touching
     point strictly inside the ball.
     """
+    excess = r_sq - c * c - 1
+    return excess, excess * excess - 2 * c * c, (1 + c) * (1 + c) - r_sq
+
+
+def boundary_disjointness_margins(c: Fraction, r: Fraction) -> dict[str, Fraction]:
+    """Exact margins whose joint positivity keeps cylinder boundaries apart.
+
+    The template_margins of (c, r^2), with radius_gap = 1 + c - r in place of
+    (1 + c)^2 - r^2 (the same sign for positive c and r).
+    """
     c, r = Fraction(c), Fraction(r)
-    excess = r * r - c * c - 1
-    return {
-        "excess": excess,
-        "separation": excess * excess - 2 * c * c,
-        "radius_gap": 1 + c - r,
-    }
+    excess, separation, _ = template_margins(c, r * r)
+    return {"excess": excess, "separation": separation, "radius_gap": 1 + c - r}
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,28 @@ def build_cylinder(index: int, n: int, params: ConstructionParams) -> ConvexQuad
     )
 
 
+def _assemble(leaves, params: ConstructionParams, free: int = 0) -> QuadraticSystem:
+    """Ball-and-cylinder blocks for leaves side by side, then free coordinates.
+
+    Each leaf takes the next leaf.max coordinates: a unit ball and one
+    cylinder per interior element on the leading max - min of them, the
+    other min free.  Each constraint is embedded once, at its final offset.
+    """
+    n = sum(leaf.max for leaf in leaves) + free
+    constraints = []
+    offset = 0
+    for leaf in leaves:
+        m, d = leaf.min, leaf.max - leaf.min
+        if d:
+            constraints.append(embed(build_ball(d), n, offset))
+        for i in leaf.elements[1:-1]:
+            constraints.append(embed(build_cylinder(i - m, d, params), n, offset))
+        offset += leaf.max
+    return QuadraticSystem(
+        dim=n, constraints=tuple(constraints), interior_witness=zero_vector(n)
+    )
+
+
 def build_ball_cylinder_system(
     sig: Signature, params: ConstructionParams | None = None
 ) -> QuadraticSystem:
@@ -106,19 +135,7 @@ def build_ball_cylinder_system(
     coordinates, one cylinder per interior element, and min-many free
     trailing coordinates.  A singleton signature {n} yields the whole R^n.
     """
-    params = params or default_params()
-    m, n = sig.min, sig.max
-    if len(sig) == 1:
-        return QuadraticSystem(dim=n, constraints=(), interior_witness=zero_vector(n))
-    d = n - m
-    constraints = [embed(build_ball(d), n, 0)]
-    for i in sig:
-        if i in (m, n):
-            continue
-        constraints.append(embed(build_cylinder(i - m, d, params), n, 0))
-    return QuadraticSystem(
-        dim=n, constraints=tuple(constraints), interior_witness=zero_vector(n)
-    )
+    return _assemble((sig,), params or default_params())
 
 
 def build_complete_dyadic(n: int) -> QuadraticSystem:
@@ -130,15 +147,8 @@ def build_complete_dyadic(n: int) -> QuadraticSystem:
     """
     if n < 0 or (n + 1) & n != 0:
         raise ValueError("the dyadic construction needs n = 2^K - 1")
-    constraints = []
-    start, size = 0, 1
-    while start < n:
-        constraints.append(embed(build_ball(size), n, start))
-        start += size
-        size *= 2
-    return QuadraticSystem(
-        dim=n, constraints=tuple(constraints), interior_witness=zero_vector(n)
-    )
+    leaves = [Signature(leaf) for leaf in _dyadic_leafkey(n)]
+    return _assemble(leaves, default_params())
 
 
 @dataclass(frozen=True)
@@ -180,13 +190,7 @@ def realize(
             tree = decompose_min_cost(base, budget)
         except DecompositionCapExceeded as exc:
             warnings.append(f"decomposition skipped: {exc}")
-    leaves = tree_leaves(tree)
-    system = build_ball_cylinder_system(leaves[0], params)
-    for leaf in leaves[1:]:
-        system = direct_sum(system, build_ball_cylinder_system(leaf, params))
-    if m > 0:
-        free = QuadraticSystem(dim=m, constraints=(), interior_witness=zero_vector(m))
-        system = direct_sum(system, free)
+    system = _assemble(tree_leaves(tree), params, m)
     plan = RealizationPlan(
         tree=tree, shift=m, params=params, total_inequalities=tree_cost(tree)
     )
@@ -215,18 +219,11 @@ def exposing_halfspace(
     point = rvector(point)
     if len(point) != n:
         raise ValueError("point dimension mismatch")
-    if not 1 <= index <= n - 1:
-        raise ValueError("cylinder index must lie strictly between 0 and n")
+    cylinder = build_cylinder(index, n, params)
     if any(point[j] != 0 for j in range(index)):
         raise ValueError("the face representative must have zero leading coordinates")
-    c, r = params.c, params.r
-    residual = (point[index] + c) ** 2 + sum(
-        point[j] ** 2 for j in range(index + 1, n)
-    )
-    if residual != r * r:
+    if evaluate(cylinder, point) != 0:
         raise ValueError("point does not lie on the cylinder boundary")
-    normal = tuple(
-        point[j] + (c if j == index else 0) for j in range(n)
-    )
-    offset = r * r - c * point[index] - c * c
-    return ExposingHalfspace(normal=rvector(normal), offset=offset)
+    # Half the cylinder's gradient at the point.
+    normal = vec_add(mat_vec(cylinder.A, point), cylinder.a)
+    return ExposingHalfspace(normal=normal, offset=dot(normal, point))

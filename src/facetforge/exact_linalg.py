@@ -5,25 +5,25 @@ matrix can also be given by its nonzero entries as rows {i: {j: m_ij}}
 (SparseRows, built by sparse_rows); rows with no nonzero entry are left
 out.  The symmetry test and the LDL^T elimination take either form and
 touch nonzeros only.  Every operation here is exact; floating point never
-enters.  Rank runs on a fraction-free (Bareiss) integer elimination to keep
-coefficient growth in check; basis extraction uses plain Fraction row
-reduction.
+enters.  One integer row reduction (_rref) answers rank, null-space bases
+and linear solves; it keeps every row primitive, so coefficient growth
+stays in check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-Rational = Fraction
 RVector = tuple[Fraction, ...]
 RMatrix = tuple[RVector, ...]
 SparseRows = dict[int, dict[int, Fraction]]
+_ZERO = Fraction(0)
 
 
 def rvector(entries) -> RVector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def rmatrix(rows) -> RMatrix:
@@ -50,7 +50,7 @@ def identity_matrix(n: int) -> RMatrix:
 def dot(u: RVector, v: RVector) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 def mat_vec(m: RMatrix, v: RVector) -> RVector:
@@ -61,17 +61,9 @@ def vec_add(u: RVector, v: RVector) -> RVector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: RVector, v: RVector) -> RVector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, v: RVector) -> RVector:
     c = Fraction(c)
     return tuple(c * a for a in v)
-
-
-def transpose(m: RMatrix) -> RMatrix:
-    return tuple(zip(*m)) if m else ()
 
 
 def sparse_rows(m: RMatrix) -> SparseRows:
@@ -91,60 +83,55 @@ def is_symmetric(m: RMatrix | SparseRows) -> bool:
     )
 
 
-def _integer_rows(m: RMatrix) -> list[list[int]]:
-    # Row scaling by the denominator lcm preserves rank and null space.
+def _integer_rows(m) -> list[list[int]]:
+    # Row scaling by the denominator lcm preserves rank, null space and RREF.
     out = []
     for row in m:
-        scale = lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * scale) for e in row])
+        nonzero = [(j, e) for j, e in enumerate(row) if e]
+        scale = lcm(*(e.denominator for _, e in nonzero))
+        ints = [0] * len(row)
+        for j, e in nonzero:
+            ints[j] = e.numerator * (scale // e.denominator)
+        out.append(ints)
     return out
 
 
-def rank(m: RMatrix) -> int:
-    """Rank by fraction-free Bareiss elimination over the integers."""
-    rows = _integer_rows(m)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            fi = rows[i][c]
-            for j in range(c, ncols):
-                rows[i][j] = (piv * rows[i][j] - fi * rows[r][j]) // prev
-        prev = piv
-        r += 1
-    return r
-
-
 def _rref(m, ncols: int):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [[Fraction(e) for e in row] for row in m]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Gauss-Jordan over the integers: rows are scaled to integers, and every
+    updated row is divided by the gcd of its entries, so it stays primitive
+    and coefficients stay bounded.  Entries of m are Fraction or int;
+    Fractions are built for the returned pivot rows only.
+    """
+    rows = _integer_rows(m)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == len(rows):
             break
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        inv = rows[r][c]
-        rows[r] = [e / inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                new = [piv * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*new) or 1
+                rows[i] = [x // g for x in new]
         pivots.append(c)
         r += 1
-    return rows[:r], pivots
+    return [
+        [Fraction(e, row[c]) if e else _ZERO for e in row] for row, c in zip(rows, pivots)
+    ], pivots
+
+
+def rank(m: RMatrix) -> int:
+    """Rank of m: the pivot count of its reduced row echelon form."""
+    return len(_rref(m, len(m[0]) if m else 0)[1])
 
 
 @dataclass(frozen=True)
@@ -197,12 +184,8 @@ def null_space_basis(m: RMatrix, ambient_dim: int | None = None) -> Subspace:
     return Subspace(ambient_dim, tuple(basis))
 
 
-def row_space_matrix(s: Subspace) -> RMatrix:
-    return tuple(s.basis)
-
-
 def orthogonal_complement(s: Subspace) -> Subspace:
-    return null_space_basis(row_space_matrix(s), s.ambient_dim)
+    return null_space_basis(s.basis, s.ambient_dim)
 
 
 def intersect_subspaces(subspaces, ambient_dim: int | None = None) -> Subspace:

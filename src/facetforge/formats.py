@@ -85,9 +85,12 @@ def system_to_json(s: QuadraticSystem) -> dict:
 def system_from_json(data: dict) -> QuadraticSystem:
     if not isinstance(data, dict) or "dim" not in data or "constraints" not in data:
         raise ValueError("system must be an object with keys dim, constraints")
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim must be an integer: {dim!r}")
     witness = data.get("interior_witness")
     return QuadraticSystem(
-        dim=int(data["dim"]),
+        dim=dim,
         constraints=tuple(quadratic_from_json(c) for c in data["constraints"]),
         interior_witness=None if witness is None else _vec_from_json(witness),
     )

@@ -143,8 +143,9 @@ def classify(q: ConvexQuadratic) -> QuadraticClass:
         )
     null = null_space_basis(q.A)
     m = null.dim
-    a_null = project_onto(q.a, null)
-    if any(e != 0 for e in a_null):
+    x0 = solve_linear(q.A, vec_scale(-1, q.a))
+    if x0 is None:
+        # A is symmetric: a leaves range(A) exactly when a_N != 0.
         dirs = null_space_basis(q.A + (q.a,))
         return QuadraticClass(
             QuadraticKind.PARABOLOID_CYLINDER,
@@ -152,10 +153,8 @@ def classify(q: ConvexQuadratic) -> QuadraticClass:
             Signature.of(m - 1, n),
             proper_face_dim=m - 1,
             face_directions=dirs,
-            null_component=a_null,
+            null_component=project_onto(q.a, null),
         )
-    x0 = solve_linear(q.A, vec_scale(-1, q.a))
-    assert x0 is not None  # a has no null component, so a lies in range(A)
     v_min = q.alpha + dot(q.a, x0)
     if v_min > 0:
         return QuadraticClass(QuadraticKind.EMPTY, m, None)
@@ -199,6 +198,8 @@ class QuadraticSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.dim < 0:
+            raise ValueError(f"negative system dimension {self.dim}")
         if any(c.dim != self.dim for c in self.constraints):
             raise ValueError("constraint dimension differs from the system dimension")
         if self.interior_witness is not None:

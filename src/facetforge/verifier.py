@@ -21,9 +21,9 @@ disagreement surfaces as ProbeMismatch instead of being resolved
 silently.
 
 Ray exits are closed-form quadratic roots, pulled back until the hit point
-evaluates feasible.  Tolerances: activity and slack 1e-8, face probe step
-1e-6, Newton residual 1e-12.  The separation between activity detection and
-the probe step keeps quadratic curvature from masquerading as flatness.
+evaluates feasible.  Tolerances: activity 1e-8, face probe step 1e-6,
+Newton residual 1e-12.  The separation between activity detection and the
+probe step keeps quadratic curvature from masquerading as flatness.
 """
 
 from __future__ import annotations
@@ -35,7 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructor import ConstructionParams, boundary_disjointness_margins
+from .constructor import (
+    ConstructionParams,
+    boundary_disjointness_margins,
+    template_margins,
+)
 from .exact_linalg import (
     RVector,
     Subspace,
@@ -60,7 +64,6 @@ from .quadratics import (
 from .signatures import Signature, minkowski_sum, shift
 
 TOL_ACTIVE = 1e-8
-TOL_SLACK = 1e-8
 PROBE_EPS = 1e-6
 NEWTON_TOL = 1e-12
 GROWTH_LIMIT = 2.0**45
@@ -120,12 +123,7 @@ class DisjointnessCertificate:
 
 
 def disjointness_certificate(params: ConstructionParams) -> DisjointnessCertificate:
-    margins = boundary_disjointness_margins(params.c, params.r)
-    return DisjointnessCertificate(
-        excess=margins["excess"],
-        separation=margins["separation"],
-        radius_gap=margins["radius_gap"],
-    )
+    return DisjointnessCertificate(**boundary_disjointness_margins(params.c, params.r))
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +362,7 @@ def _match_ball_cylinder_template(system: QuadraticSystem):
     r_sq = parsed[0][2]
     if any(p[1] != c or p[2] != r_sq for p in parsed):
         return None
-    excess = r_sq - c * c - 1
-    separation = excess * excess - 2 * c * c
-    radius_gap_sq = (1 + c) * (1 + c) - r_sq
-    if excess <= 0 or separation <= 0 or radius_gap_sq <= 0:
+    if min(template_margins(c, r_sq)) <= 0:
         return None
     sig = Signature(tuple([0, d] + indices))
     witnesses: dict[int, RVector] = {d: zero_vector(d), 0: unit_vector(0, d)}
@@ -889,7 +884,6 @@ def probe_signature(
     system: QuadraticSystem,
     samples: int = DEFAULT_SAMPLES,
     seed: int | None = None,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> VerificationReport:
     """Probabilistic signature from seeded boundary sampling.
 
@@ -897,7 +891,7 @@ def probe_signature(
     The `samples` ray directions come from one generator seeded by seed, so
     the same seed gives the same report and a run with more samples shoots
     the same rays first.  After sampling, every constraint tuple of size 1
-    to tuple_cap that was never seen jointly active gets targeted
+    to DEFAULT_TUPLE_CAP that was never seen jointly active gets targeted
     Gauss-Newton refinement, which reaches faces that rays miss almost
     surely.  Refinement goes size by size in start-major rounds: round k
     solves the k-th start of every unresolved tuple in one batch, then the
@@ -997,7 +991,7 @@ def probe_signature(
             dims[d] = lift(sol)
         return True
 
-    for size in range(1, min(tuple_cap, m) + 1):
+    for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
         pending = []
         for tup in itertools.combinations(range(m), size):
             starts = [first_hit[j] for j in tup if j in first_hit]

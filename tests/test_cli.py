@@ -224,3 +224,46 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("dim", ["-1", "1.5", "true"])
+@pytest.mark.parametrize(
+    "command", [["verify"], ["verify", "--probe"], ["export", "--format", "socp"]]
+)
+def test_bad_dim_exit_2(tmp_path, capsys, dim, command):
+    path = tmp_path / "dim.json"
+    path.write_text(f'{{"dim": {dim}, "constraints": []}}')
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _huge_entry_file(tmp_path, A, a):
+    data = {
+        "dim": 2,
+        "constraints": [{"A": A, "a": a, "alpha": "-1"}],
+        "interior_witness": None,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["verify", "--probe"], ["export", "--format", "socp"], ["slice"]],
+)
+def test_entry_beyond_float_range_exit_2(tmp_path, capsys, command):
+    path = _huge_entry_file(tmp_path, [["1e400", "0"], ["0", "1"]], ["0", "0"])
+    if command == ["slice"]:
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"base_point": ["0", "0"], "u": ["1", "0"], "v": ["0", "1"]}')
+        command = ["slice", "--spec", str(spec)]
+    assert main([command[0], path, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_exact_verify_of_huge_halfspace_still_works(tmp_path, capsys):
+    path = _huge_entry_file(tmp_path, [["0", "0"], ["0", "0"]], ["1e400", "0"])
+    assert main(["verify", path, "--expect", "1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["signature"] == [1, 2]

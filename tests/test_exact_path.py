@@ -1,4 +1,4 @@
-"""Exact path at larger n: witness checks and cross-checks up to n = 16.
+"""Exact path at larger n: witness checks and cross-checks up to n = 32.
 
 Expected signatures come from how each system is built (template theory,
 the seven classes of a single quadratic, sumsets for direct sums), and every
@@ -86,6 +86,29 @@ def test_exact_path_cross_checked_up_to_n_16():
         cases.append((system, minkowski_sum(sig, q_sig)))
     for system, expected in cases:
         assert system.dim <= 16
+        report = exact_signature(system)
+        assert report.signature == expected
+        for d, w in report.witnesses.items():
+            assert minimal_face_dim_at(system, w) == d
+
+
+def test_exact_path_cross_checked_up_to_n_32():
+    rng = random.Random(3232)
+    cases = []
+    for n in (20, 24, 32):
+        for use_decomposition in (False, True):
+            sig = Signature.of(n, *rng.sample(range(n), rng.randint(1, n)))
+            result = realize(sig, use_decomposition=use_decomposition, budget=32)
+            cases.append((result.system, sig))
+    for kind in ("full", "halfspace", "singleton", "affine", "cylinder", "paraboloid"):
+        k = rng.randint(2, 8)
+        n = rng.randint(16, 32 - k)
+        sig = Signature.of(n, *rng.sample(range(n), rng.randint(1, n)))
+        q, q_sig = _class_quadratic(rng, kind, k)
+        system = direct_sum(realize(sig).system, QuadraticSystem(dim=k, constraints=(q,)))
+        cases.append((system, minkowski_sum(sig, q_sig)))
+    for system, expected in cases:
+        assert system.dim <= 32
         report = exact_signature(system)
         assert report.signature == expected
         for d, w in report.witnesses.items():

@@ -2,7 +2,8 @@
 
 Exit codes: 2 for malformed input, 1 for a verification mismatch when
 --expect is passed, 0 otherwise.  The probe seed defaults to 42 and can be
-overridden by the FACETFORGE_SEED environment variable or --seed.
+overridden by the FACETFORGE_SEED environment variable or --seed, each a
+non-negative integer.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _write_or_print(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -120,7 +131,11 @@ def _cmd_verify(args) -> int:
     system = _load_system(args.system)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("FACETFORGE_SEED", DEFAULT_SEED))
+        env_seed = os.environ.get("FACETFORGE_SEED")
+        try:
+            seed = DEFAULT_SEED if env_seed is None else _non_negative_int(env_seed)
+        except argparse.ArgumentTypeError as exc:
+            raise _InputError(f"bad FACETFORGE_SEED: {exc}") from exc
 
     report: VerificationReport | None = None
     infeasible = False
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help="system JSON path")
     p.add_argument("--probe", action="store_true", help="force the sampling path")
     p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--expect", help="signature to compare against, e.g. 0,2,3")
     p.set_defaults(func=_cmd_verify)
 

@@ -229,19 +229,8 @@ def export_socp(s: QuadraticSystem) -> SocpForm:
     a) and b carries the remaining null component.
     """
     cones = []
-    for q in s.constraints:
-        A = np.array([[float(e) for e in row] for row in q.A])
-        a = np.array([float(e) for e in q.a])
-        if s.dim == 0:
-            cones.append(
-                ConeConstraint(
-                    L=np.zeros((0, 0)),
-                    p=np.zeros(0),
-                    b=np.zeros(0),
-                    gamma=float(q.alpha),
-                )
-            )
-            continue
+    fs = _FloatSystem.from_system(s)
+    for A, a, alpha in zip(fs.A, fs.a, fs.alpha):
         w, V = np.linalg.eigh(A)
         keep = w > EIGENVALUE_CLIP
         L = (np.sqrt(w[keep])[:, None] * V[:, keep].T) if keep.any() else np.zeros(
@@ -252,7 +241,7 @@ def export_socp(s: QuadraticSystem) -> SocpForm:
         else:
             p = np.zeros(0)
         b = a - L.T @ p
-        gamma = float(q.alpha) - float(p @ p)
+        gamma = float(alpha) - float(p @ p)
         cones.append(ConeConstraint(L=L, p=p, b=b, gamma=gamma))
     return SocpForm(dim=s.dim, cones=tuple(cones))
 

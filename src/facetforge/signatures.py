@@ -88,8 +88,8 @@ class LowerBoundCertificate:
 
     The certified claim: every face dimension of a realizable set with
     ambient dimension n = max I lies in {n} union the intervals
-    [max(0, d_1+...+d_m - (m-1)n), d_m] for m = 1..k.  Minimality of k over
-    all such sequences is what lower_bound searches for.
+    [max(0, d_1+...+d_m - (m-1)n), d_m] for m = 1..k.  lower_bound returns
+    one of minimal length k.
     """
 
     n: int
@@ -127,50 +127,28 @@ def check_certificate(sig: Signature, cert: LowerBoundCertificate) -> bool:
 
 
 def lower_bound(sig: Signature) -> LowerBoundCertificate:
-    """Minimal-length certificate for sig by iterative-deepening DFS.
+    """Minimal-length certificate for sig, built by one greedy walk.
 
-    States are (position, last entry, clamped running lower end); each depth
-    level keeps a visited set so no state is expanded twice.  Entries are
-    tried ascending from the largest yet-uncovered element, which reaches a
-    witness fast while the exhaustive sweep still proves minimality.
+    Starting from lower = n = max sig, the walk appends d = the largest
+    element of sig below lower and sets lower = max(0, lower + d - n), until
+    no element is left below lower.  Every entry must reach the largest
+    uncovered element, so this d is the smallest admissible one and gives
+    the smallest next lower end; a smaller lower end leaves every later
+    choice open, so by induction no sequence covers sig in fewer entries.
     """
     n = sig.max
-    rest = [e for e in sig.elements if e != n]
-    if not rest:
-        return LowerBoundCertificate(n=n, ds=())
-
-    def max_below(bound: int) -> int | None:
-        i = bisect_left(rest, bound) - 1
-        return rest[i] if i >= 0 else None
-
-    for depth in range(1, len(sig)):
-        seen: set[tuple[int, int, int]] = set()
-
-        def dfs(prefix: list[int], prev_d: int, lower: int, left: int):
-            u = max_below(lower)
-            if u is None:
-                return list(prefix)
-            if left == 0:
-                return None
-            for d in range(u, min(prev_d, n - 1) + 1):
-                nxt = max(0, lower + d - n)
-                state = (len(prefix) + 1, d, nxt)
-                if state in seen:
-                    continue
-                seen.add(state)
-                prefix.append(d)
-                found = dfs(prefix, d, nxt, left - 1)
-                prefix.pop()
-                if found is not None:
-                    return found
-            return None
-
-        ds = dfs([], n - 1, n, depth)
-        if ds is not None:
-            cert = LowerBoundCertificate(n=n, ds=tuple(ds))
-            assert check_certificate(sig, cert)
-            return cert
-    raise AssertionError("unreachable: the elementwise certificate always exists")
+    rest = sig.elements[:-1]
+    ds: list[int] = []
+    lower = n
+    i = bisect_left(rest, lower) - 1
+    while i >= 0:
+        ds.append(rest[i])
+        lower = max(0, lower + rest[i] - n)
+        i = bisect_left(rest, lower) - 1
+    cert = LowerBoundCertificate(n=n, ds=tuple(ds))
+    if not check_certificate(sig, cert):
+        raise AssertionError(f"the greedy certificate {ds} does not cover {sig}")
+    return cert
 
 
 @dataclass(frozen=True)

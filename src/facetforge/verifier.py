@@ -229,16 +229,24 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
 
 
 def _rational_sqrt_below(target_sq: Fraction, scale: float) -> Fraction:
-    """Rational t with t^2 slightly below target_sq (gap within tolerance)."""
+    """Rational t with t^2 slightly below target_sq (gap within tolerance).
+
+    The exact root when target_sq is a rational square.  Otherwise, at each
+    precision p = 2^b, t = k/p for the largest k <= floor(sqrt(target) * p)
+    with k^2 < target * p^2, that is the float guess capped by the integer
+    square root of floor(target * p^2) (no k^2 equals target * p^2, which
+    is not a square).  The first p whose gap target - t^2, times scale, is
+    within 1% of the activity tolerance wins; else the finest.
+    """
     exact = _fraction_sqrt(target_sq)
     if exact is not None:
         return exact
     tf = math.sqrt(float(target_sq))
+    num, den = target_sq.numerator, target_sq.denominator
     for shift_bits in (48, 64, 96, 128):
         prec = 1 << shift_bits
-        t = Fraction(math.floor(tf * prec), prec)
-        while t * t >= target_sq:
-            t -= Fraction(1, prec)
+        k = min(math.floor(tf * prec), math.isqrt(num * prec * prec // den))
+        t = Fraction(k, prec)
         gap = float(target_sq - t * t)
         if gap * scale <= 0.01 * TOL_ACTIVE:
             return t

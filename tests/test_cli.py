@@ -84,6 +84,29 @@ def test_verify_rejects_samples_below_one(tmp_path, samples):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "seed_args, env_seed",
+    [(["--probe", "--seed", "-1"], None), ([], "abc"), (["--probe"], "-3")],
+)
+def test_bad_seed_exit_2(tmp_path, capsys, monkeypatch, seed_args, env_seed):
+    path = ball_file(tmp_path)
+    if env_seed is not None:
+        monkeypatch.setenv("FACETFORGE_SEED", env_seed)
+    try:
+        code = main(["verify", path, "--samples", "300", *seed_args])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+
+
+def test_seed_flag_wins_over_bad_env_seed(tmp_path, capsys, monkeypatch):
+    path = ball_file(tmp_path)
+    monkeypatch.setenv("FACETFORGE_SEED", "-3")
+    assert main(["verify", path, "--probe", "--samples", "300", "--seed", "7"]) == 0
+
+
 def test_verify_infeasible_system(tmp_path, capsys):
     empty = ConvexQuadratic(A=((1, 0), (0, 1)), a=(0, 0), alpha=1)
     path = write_system(

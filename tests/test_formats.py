@@ -169,6 +169,28 @@ def test_sdpa_declared_sizes_match_entries():
     assert [implied[b] for b in sorted(implied)] == parsed["block_sizes"]
 
 
+def test_dim_zero_exports_frozen():
+    system = QuadraticSystem(
+        dim=0,
+        constraints=(
+            ConvexQuadratic(A=(), a=(), alpha=-1),
+            ConvexQuadratic(A=(), a=(), alpha=F(1, 3)),
+        ),
+    )
+    assert dumps(socp_to_json(export_socp(system))) == dumps(
+        {
+            "cones": [
+                {"L": [], "b": [], "gamma": -1.0, "p": []},
+                {"L": [], "b": [], "gamma": 0.3333333333333333, "p": []},
+            ],
+            "dim": 0,
+        }
+    )
+    assert export_sdpa(system) == (
+        "0\n2\n1 1\n0\n0 1 1 1 -1.0\n0 2 1 1 0.3333333333333333\n"
+    )
+
+
 def test_parse_sdpa_rejects_malformed():
     with pytest.raises(ValueError):
         parse_sdpa("1\n1\n")

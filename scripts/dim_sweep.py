@@ -1,10 +1,13 @@
-"""Time the template {0..n} through realize, exact_signature and a JSON round trip.
+"""Time the template {0..n} through realize, exact_signature, a JSON round
+trip, minimal_face_dim_at on every exact witness and probe_signature
+(2000 samples, seed 42).
 
     PYTHONPATH=src python3 scripts/dim_sweep.py [n ...]
 
 Prints one JSON object: for each n (default 8 16 24 32 48) the wall time of
-each step in seconds, and whether the certified signature is {0..n} and the
-round trip gives back an equal system.
+each step in seconds, and whether the certified signature is {0..n}, the
+round trip gives back an equal system, every witness reads back its own
+dimension and the probe finds {0..n}.
 """
 
 import json
@@ -14,7 +17,7 @@ import time
 from facetforge import formats
 from facetforge.constructor import realize
 from facetforge.signatures import Signature
-from facetforge.verifier import exact_signature
+from facetforge.verifier import exact_signature, minimal_face_dim_at, probe_signature
 
 
 def _timed(fn, *args):
@@ -32,8 +35,14 @@ def main(sizes):
         loaded, t_json = _timed(
             lambda: formats.system_from_json(json.loads(json.dumps(formats.system_to_json(system))))
         )
+        dims, t_dims = _timed(lambda: {d: minimal_face_dim_at(system, w)
+                                       for d, w in report.witnesses.items()})
+        probe, t_probe = _timed(probe_signature, system, 2000, 42)
         sweep[n] = {"realize_s": t_realize, "exact_signature_s": t_exact, "json_round_trip_s": t_json,
-                    "signature_ok": report.signature == sig, "round_trip_ok": loaded == system}
+                    "minimal_face_dim_at_s": t_dims, "probe_signature_s": t_probe,
+                    "signature_ok": report.signature == sig, "round_trip_ok": loaded == system,
+                    "witness_dims_ok": all(d == k for k, d in dims.items()),
+                    "probe_ok": probe.signature == sig}
     print(json.dumps({"template": "{0..n}", "sweep": sweep}))
 
 

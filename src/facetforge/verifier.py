@@ -72,6 +72,7 @@ DEFAULT_SEED = 42
 NEWTON_MAX_ITER = 50
 DEFAULT_TUPLE_CAP = 3
 DEFAULT_SAMPLES = 2000
+PROBE_CHUNK = 2048
 
 _KIND = QuadraticKind
 
@@ -237,20 +238,37 @@ def _rational_sqrt_below(target_sq: Fraction, scale: float) -> Fraction:
     square root of floor(target * p^2) (no k^2 equals target * p^2, which
     is not a square).  The first p whose gap target - t^2, times scale, is
     within 1% of the activity tolerance wins; else the finest.
+
+    Where that pick is 0 (the root is below its step) or float(target)
+    underflows or overflows, the integer square root alone is taken at
+    p = 2^48, 2^96, 2^192, ... until k has at least 49 bits (relative gap
+    below 2^-46) and the gap test, done in rationals, passes.
     """
     exact = _fraction_sqrt(target_sq)
     if exact is not None:
         return exact
-    tf = math.sqrt(float(target_sq))
     num, den = target_sq.numerator, target_sq.denominator
-    for shift_bits in (48, 64, 96, 128):
-        prec = 1 << shift_bits
-        k = min(math.floor(tf * prec), math.isqrt(num * prec * prec // den))
-        t = Fraction(k, prec)
-        gap = float(target_sq - t * t)
-        if gap * scale <= 0.01 * TOL_ACTIVE:
+    try:
+        tf = math.sqrt(float(target_sq))
+    except OverflowError:
+        tf = 0.0
+    if tf > 0:
+        for shift_bits in (48, 64, 96, 128):
+            prec = 1 << shift_bits
+            k = min(math.floor(tf * prec), math.isqrt(num * prec * prec // den))
+            t = Fraction(k, prec)
+            if float(target_sq - t * t) * scale <= 0.01 * TOL_ACTIVE:
+                break
+        if k:
             return t
-    return t
+    weight, bound = Fraction(scale), Fraction(0.01 * TOL_ACTIVE)
+    shift_bits = 48
+    while True:
+        k = math.isqrt((num << 2 * shift_bits) // den)
+        t = Fraction(k, 1 << shift_bits)
+        if k >> 48 and (target_sq - t * t) * weight <= bound:
+            return t
+        shift_bits *= 2
 
 
 def _boundary_point_along(
@@ -642,9 +660,13 @@ def boundary_sample(
 
 
 class _DimContext:
-    """Per-system caches for active-set direction spaces.
+    """Face measurement for one system.
 
     classes[j] is classify(system.constraints[j]), computed by the caller.
+    Direction spaces are cached per active set.  measure_batch groups its
+    points by active set, so each distinct set is looked up once, and runs
+    every point's own +-eps probe through max_batch, PROBE_CHUNK probe
+    points at a time.
     """
 
     def __init__(self, system: QuadraticSystem, classes: list[QuadraticClass]):
@@ -688,30 +710,53 @@ class _DimContext:
         self._spaces[active] = direct, basis
         return direct, basis
 
-    def probe_directions(self, x: np.ndarray, basis: np.ndarray):
-        """Check that every claimed face direction survives +-eps probing."""
-        if not len(basis):
-            return
-        cand = np.concatenate([x + PROBE_EPS * basis, x - PROBE_EPS * basis])
-        worst = float(self.fs.max_batch(cand).max())
-        if worst > TOL_ACTIVE:
-            raise ProbeMismatch(
-                "a claimed face direction exits the set at the probe step "
-                f"(residual {worst:.3e}); active set is degenerate at this point"
-            )
+    def measure_batch(
+        self, pts: np.ndarray, fvals: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Active sets and face dimensions at the rows of pts, given fvals = f(pts).
 
-    def active_set(self, fvals: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(fvals >= -TOL_ACTIVE))
-
-    def measure(self, x: np.ndarray, fvals: np.ndarray, active: tuple[int, ...]) -> int:
-        """Face dimension at x, given fvals = f(x) and active_set(fvals)."""
+        Returns (active, dims): active[i] is the boolean row
+        fvals[i] >= -TOL_ACTIVE, and dims[i] the dimension of the minimal
+        face at pts[i], or -1 where the active set fails cross-validation
+        (its two direction-space routes disagree, or a claimed face
+        direction exits the set at the +-eps probe from pts[i]).  Raises
+        ValueError when a point is infeasible beyond tolerance.
+        """
         if fvals.size and float(fvals.max()) > TOL_ACTIVE:
             raise ValueError("point is not feasible within tolerance")
-        if not active:
-            return self.system.dim
-        space, basis = self.direction_space(active)
-        self.probe_directions(x, basis)
-        return space.dim
+        active = fvals >= -TOL_ACTIVE
+        dims = np.full(len(pts), self.system.dim)
+        rows, group = np.unique(active, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        for g, row in enumerate(rows):
+            if not row.any():
+                continue
+            members = np.flatnonzero(group == g)
+            try:
+                space, basis = self.direction_space(tuple(np.flatnonzero(row).tolist()))
+            except ProbeMismatch:
+                dims[members] = -1
+                continue
+            dims[members] = space.dim
+            if not len(basis):
+                continue
+            steps = np.concatenate([PROBE_EPS * basis, -PROBE_EPS * basis])
+            per = max(1, PROBE_CHUNK // len(steps))
+            for start in range(0, len(members), per):
+                chunk = members[start : start + per]
+                probes = (pts[chunk, None, :] + steps).reshape(-1, pts.shape[1])
+                worst = self.fs.max_batch(probes).reshape(len(chunk), -1).max(axis=1)
+                dims[chunk[worst > TOL_ACTIVE]] = -1
+        return active, dims
+
+
+def _dim_context(system: QuadraticSystem) -> _DimContext:
+    """The system's _DimContext, built on first use and kept on the system."""
+    ctx = system.__dict__.get("_dim_context")
+    if ctx is None:
+        ctx = _DimContext(system, [classify(q) for q in system.constraints])
+        object.__setattr__(system, "_dim_context", ctx)
+    return ctx
 
 
 def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
@@ -720,14 +765,22 @@ def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
     Computed as the dimension of the intersection of the active constraints'
     face direction spaces; validated against a second exact route and a
     floating +-eps feasibility probe.  Raises ProbeMismatch on disagreement
-    and ValueError when x is infeasible beyond tolerance.
+    and ValueError when x is infeasible beyond tolerance.  The
+    classification and float copy of the system are built on the first call
+    and reused by later calls on the same system.
     """
-    ctx = _DimContext(system, [classify(q) for q in system.constraints])
+    ctx = _dim_context(system)
     pt = np.array([float(e) for e in x], dtype=float)
     if len(pt) != system.dim:
         raise ValueError("point dimension mismatch")
-    fvals = ctx.fs.eval_point(pt)
-    return ctx.measure(pt, fvals, ctx.active_set(fvals))
+    _, dims = ctx.measure_batch(pt[None, :], ctx.fs.eval_point(pt)[None, :])
+    if dims[0] < 0:
+        raise ProbeMismatch(
+            "the active set at this point fails cross-validation: its "
+            "direction-space routes disagree or a claimed face direction "
+            "exits the set at the probe step"
+        )
+    return int(dims[0])
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +941,128 @@ def _block_lineality_warnings(system: QuadraticSystem) -> list[str]:
     return out
 
 
+class _FaceLog:
+    """What the probe path has found so far.
+
+    points maps each face dimension to the first point that showed it;
+    seen numbers the cross-validated active sets, and index[j] holds the
+    numbers of those containing constraint j, so covered() intersects a few
+    small sets instead of scanning every recorded set.  first_hit maps each
+    constraint to the first boundary hit where it is active, ever_active
+    holds every constraint active at a hit or a refined point, and skipped
+    counts hits whose active set failed cross-validation.
+    """
+
+    def __init__(self, m: int, n: int, x0: np.ndarray):
+        self.points: dict[int, np.ndarray] = {n: x0}
+        self.seen: dict[frozenset[int], int] = {}
+        self.index: list[set[int]] = [set() for _ in range(m)]
+        self.first_hit: dict[int, np.ndarray] = {}
+        self.ever_active: set[int] = set()
+        self.skipped = 0
+
+    def add(self, active: frozenset[int]):
+        if active not in self.seen:
+            self.seen[active] = len(self.seen)
+            for j in active:
+                self.index[j].add(self.seen[active])
+
+    def covered(self, tup: tuple[int, ...]) -> bool:
+        return bool(set.intersection(*(self.index[j] for j in tup)))
+
+
+def _read_hits(ctx: _DimContext, log: _FaceLog, pts: np.ndarray, vals: np.ndarray):
+    """Record the faces at boundary hits pts, in ray order, with vals = f(pts).
+
+    Hits with no active constraint are passed over.  A hit whose active set
+    fails cross-validation still counts for first_hit but is skipped.
+    """
+    active, dims = ctx.measure_batch(pts, vals)
+    first = active.argmax(axis=0)
+    log.first_hit.update((int(j), pts[first[j]]) for j in np.flatnonzero(active.any(axis=0)))
+    hit = active.any(axis=1)
+    log.skipped += int(np.count_nonzero(hit & (dims < 0)))
+    good = np.flatnonzero(hit & (dims >= 0))
+    # With return_index, np.unique sorts; its hash path costs about 1.5 MB
+    # of resident memory on first use.
+    for row in np.unique(active[good], axis=0, return_index=True)[0]:
+        log.add(frozenset(np.flatnonzero(row).tolist()))
+    found, at = np.unique(dims[good], return_index=True)
+    for k in np.argsort(at):
+        log.points.setdefault(int(found[k]), pts[good[at[k]]])
+
+
+def _read_refined(ctx: _DimContext, log: _FaceLog, pending: list, sols: np.ndarray) -> list:
+    """Resolve one refinement round; returns the entries still unresolved.
+
+    Every feasible solution is measured in one batch; the entries are then
+    resolved in order, each by the covering check against the sets recorded
+    so far, or by its own solution when that is feasible and cross-validates.
+    """
+    valid = np.flatnonzero(~np.isnan(sols[:, 0]))
+    fv = ctx.fs.eval_batch(sols[valid])
+    feasible = fv.max(axis=1) <= TOL_ACTIVE
+    active, dims = ctx.measure_batch(sols[valid[feasible]], fv[feasible])
+    row_of = {int(i): r for r, i in enumerate(valid[feasible])}
+    unresolved = []
+    for i, entry in enumerate(pending):
+        if log.covered(entry[0]):
+            continue
+        r = row_of.get(i)
+        if r is None:
+            unresolved.append(entry)
+            continue
+        act = frozenset(np.flatnonzero(active[r]).tolist())
+        log.ever_active.update(act)
+        if dims[r] < 0:
+            unresolved.append(entry)
+            continue
+        log.add(act)
+        log.points.setdefault(int(dims[r]), sols[i])
+    return unresolved
+
+
+def _probe_faces(
+    ctx: _DimContext, x0: np.ndarray, pts: np.ndarray, ok: np.ndarray, vals: np.ndarray
+) -> _FaceLog:
+    """Faces at the boundary hits pts[ok], then by targeted refinement.
+
+    Corners where several constraints meet, and constraints no ray reached,
+    have measure zero for random rays, so refinement solves for activity
+    directly, size by size up to DEFAULT_TUPLE_CAP.  Round k refines the
+    k-th start of every unresolved tuple of one size in one batch; a tuple
+    is resolved by its first start that lands on a feasible, cross-validated
+    point, or once a recorded active set covers it.
+    """
+    m = ctx.fs.m
+    log = _FaceLog(m, ctx.system.dim, x0)
+    _read_hits(ctx, log, pts[ok], vals[ok])
+    log.ever_active.update(log.first_hit)
+    for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
+        pending = []
+        for tup in itertools.combinations(range(m), size):
+            starts = [log.first_hit[j] for j in tup if j in log.first_hit]
+            if starts:
+                starts.append(np.mean(starts, axis=0))
+            starts.append(x0)
+            pending.append((tup, starts))
+        for k in itertools.count():
+            pending = [
+                (tup, starts)
+                for tup, starts in pending
+                if k < len(starts) and not log.covered(tup)
+            ]
+            if not pending:
+                break
+            sols = _gauss_newton_batch(
+                ctx.fs,
+                np.array([tup for tup, _ in pending]),
+                np.array([starts[k] for _, starts in pending]),
+            )
+            pending = _read_refined(ctx, log, pending, sols)
+    return log
+
+
 def probe_signature(
     system: QuadraticSystem,
     samples: int = DEFAULT_SAMPLES,
@@ -898,17 +1073,20 @@ def probe_signature(
     Affine-subspace constraints are removed by exact restriction first.
     The `samples` ray directions come from one generator seeded by seed, so
     the same seed gives the same report and a run with more samples shoots
-    the same rays first.  After sampling, every constraint tuple of size 1
-    to DEFAULT_TUPLE_CAP that was never seen jointly active gets targeted
-    Gauss-Newton refinement, which reaches faces that rays miss almost
-    surely.  Refinement goes size by size in start-major rounds: round k
-    solves the k-th start of every unresolved tuple in one batch, then the
-    tuples are resolved in order by the first start that lands on a
-    feasible point whose active set cross-validates.  Samples whose active
-    set fails cross-validation are skipped and counted in warnings, and a
-    warning names, by index in `system`, every constraint that was never
-    active at a hit or a refined point; the result is a lower
-    approximation of the signature in the worst case, never an overclaim.
+    the same rays first.  All hits are measured in one batch: hits are
+    grouped by active set, each distinct set's direction space is computed
+    once, and every hit gets its own +-eps probe (_DimContext.measure_batch).
+    After sampling, every constraint tuple of size 1 to DEFAULT_TUPLE_CAP
+    that was never seen jointly active gets targeted Gauss-Newton
+    refinement, which reaches faces that rays miss almost surely.
+    Refinement goes size by size in start-major rounds: round k solves the
+    k-th start of every unresolved tuple in one batch, then the tuples are
+    resolved in order by the first start that lands on a feasible point
+    whose active set cross-validates.  Samples whose active set fails
+    cross-validation are skipped and counted in warnings, and a warning
+    names, by index in `system`, every constraint that was never active at
+    a hit or a refined point; the result is a lower approximation of the
+    signature in the worst case, never an overclaim.
     """
     if seed is None:
         seed = DEFAULT_SEED
@@ -926,117 +1104,32 @@ def probe_signature(
     def lift(y: np.ndarray) -> tuple:
         return tuple((offset_f + columns_f @ y).tolist())
 
-    dims: dict[int, tuple] = {}
-    if n == 0 or not reduced.constraints:
-        dims[n] = lift(np.zeros(n))
+    def report(points: dict[int, np.ndarray]) -> VerificationReport:
         return VerificationReport(
-            signature=Signature.of(n),
+            signature=Signature(tuple(points)),
             method="probe",
             confidence=Confidence("probabilistic", samples, TOL_ACTIVE),
-            witnesses=dims,
+            witnesses={d: lift(y) for d, y in points.items()},
             warnings=tuple(warnings),
         )
+
+    if n == 0 or not reduced.constraints:
+        return report({n: np.zeros(n)})
 
     warnings.extend(_block_lineality_warnings(reduced))
     ctx = _DimContext(reduced, classes)
     x0 = interior_point(reduced)
-    dims[n] = lift(x0)
-
     directions = _sampled_directions(n, samples, seed)
-    pts, ok, vals = _batch_boundary(ctx.fs, x0, directions)
-
-    seen_active: set[frozenset[int]] = set()
-    first_hit: dict[int, np.ndarray] = {}
-    skipped = 0
-    for i in np.flatnonzero(ok):
-        fv = vals[i]
-        active = ctx.active_set(fv)
-        if not active:
-            continue
-        for j in active:
-            first_hit.setdefault(j, pts[i])
-        try:
-            d = ctx.measure(pts[i], fv, active)
-        except ProbeMismatch:
-            skipped += 1
-            continue
-        seen_active.add(frozenset(active))
-        if d not in dims:
-            dims[d] = lift(pts[i])
-    if skipped:
+    log = _probe_faces(ctx, x0, *_batch_boundary(ctx.fs, x0, directions))
+    if log.skipped:
         warnings.append(
-            f"{skipped} of {samples} samples skipped: active set failed "
+            f"{log.skipped} of {samples} samples skipped: active set failed "
             "cross-validation near tolerance"
         )
-
-    # Targeted refinement: corners where several constraints meet, and
-    # constraints no ray reached, have measure zero for random rays, so
-    # solve for activity directly.  Round k refines the k-th start of every
-    # unresolved tuple of one size in one batch; a tuple is resolved by its
-    # first start that lands on a feasible, cross-validated point, or once
-    # a recorded active set covers it.
-    m = ctx.fs.m
-    ever_active = set(first_hit)
-
-    def covered(tup: tuple[int, ...]) -> bool:
-        return any(act.issuperset(tup) for act in seen_active)
-
-    def record(sol: np.ndarray) -> bool:
-        """Record the face at a refined point; False if it is rejected."""
-        if np.isnan(sol[0]):
-            return False
-        fv = ctx.fs.eval_point(sol)
-        if fv.max() > TOL_ACTIVE:
-            return False
-        active = ctx.active_set(fv)
-        ever_active.update(active)
-        try:
-            d = ctx.measure(sol, fv, active)
-        except ProbeMismatch:
-            return False
-        seen_active.add(frozenset(active))
-        if d not in dims:
-            dims[d] = lift(sol)
-        return True
-
-    for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
-        pending = []
-        for tup in itertools.combinations(range(m), size):
-            starts = [first_hit[j] for j in tup if j in first_hit]
-            if starts:
-                starts.append(np.mean(starts, axis=0))
-            starts.append(x0)
-            pending.append((tup, starts))
-        for k in itertools.count():
-            pending = [
-                (tup, starts)
-                for tup, starts in pending
-                if k < len(starts) and not covered(tup)
-            ]
-            if not pending:
-                break
-            sols = _gauss_newton_batch(
-                ctx.fs,
-                np.array([tup for tup, _ in pending]),
-                np.array([starts[k] for _, starts in pending]),
-            )
-            unresolved = []
-            for entry, sol in zip(pending, sols):
-                if not covered(entry[0]) and not record(sol):
-                    unresolved.append(entry)
-            pending = unresolved
-
-    never = sorted(origin[j] for j in range(m) if j not in ever_active)
+    never = sorted(origin[j] for j in range(ctx.fs.m) if j not in log.ever_active)
     if never:
         warnings.append(
             f"constraint(s) {', '.join(map(str, never))} never active at a "
             "boundary hit or refinement; faces on them may be missing"
         )
-
-    return VerificationReport(
-        signature=Signature(tuple(dims)),
-        method="probe",
-        confidence=Confidence("probabilistic", samples, TOL_ACTIVE),
-        witnesses=dims,
-        warnings=tuple(warnings),
-    )
+    return report(log.points)

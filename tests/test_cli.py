@@ -5,6 +5,7 @@ Exit code contract: 2 for malformed input, 1 for an --expect mismatch,
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -290,3 +291,32 @@ def test_exact_verify_of_huge_halfspace_still_works(tmp_path, capsys):
     path = _huge_entry_file(tmp_path, [["0", "0"], ["0", "0"]], ["1e400", "0"])
     assert main(["verify", path, "--expect", "1,2"]) == 0
     assert json.loads(capsys.readouterr().out)["signature"] == [1, 2]
+
+
+def _interval_file(tmp_path, a_sq, alpha):
+    # a_sq * x^2 + alpha <= 0 on the line
+    data = {
+        "dim": 1,
+        "constraints": [{"A": [[a_sq]], "a": ["0"], "alpha": alpha}],
+        "interior_witness": None,
+    }
+    path = tmp_path / "interval.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "a_sq, alpha", [("1", "-2e-40"), ("1", "-2e-400"), ("1", "-2e400"), ("2e-400", "-1")]
+)
+def test_exact_verify_of_interval_gives_a_boundary_witness(tmp_path, capsys, a_sq, alpha):
+    # the float guess of the root rounds to 0 at 2^-48, underflows or
+    # overflows here, and in the last case the curvature underflows too;
+    # the dimension-0 witness is still a boundary point
+    path = _interval_file(tmp_path, a_sq, alpha)
+    assert main(["verify", path, "--expect", "0,1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["method"] == "exact" and report["signature"] == [0, 1]
+    target = -Fraction(alpha) / Fraction(a_sq)
+    x = Fraction(report["witnesses"]["0"][0])
+    assert x != 0 and x * x < target
+    assert (target - x * x) / target <= Fraction(1, 2**40)

@@ -1,0 +1,307 @@
+"""The batched face measurement of the probe path against the loop it replaced.
+
+_read_hits and _probe_faces measure boundary hits and refined points in
+batches grouped by active set.  The per-hit loop and the per-point record
+they replaced are kept here verbatim as references (the _DimContext methods
+they called are reference functions taking the context), and both run on
+the same hits: seeded templates, direct sums, every class of single
+quadratic, offset balls, and a ball cut by a halfspace with rays aimed just
+beside the corner, where the claimed face direction fails the +-eps probe.
+Face points, recorded active sets, first hits, ever-active constraints and
+the skipped count must agree exactly.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from facetforge.constructor import realize
+from facetforge.quadratics import (
+    ConvexQuadratic,
+    QuadraticKind,
+    QuadraticSystem,
+    classify,
+    direct_sum,
+)
+from facetforge.signatures import Signature
+from facetforge.verifier import (
+    DEFAULT_TUPLE_CAP,
+    PROBE_EPS,
+    InfeasibleSystem,
+    TOL_ACTIVE,
+    ProbeMismatch,
+    _batch_boundary,
+    _DimContext,
+    _FaceLog,
+    _gauss_newton_batch,
+    _probe_faces,
+    _read_hits,
+    _restrict_affine,
+    _sampled_directions,
+    interior_point,
+    minimal_face_dim_at,
+    probe_signature,
+)
+
+
+def reference_active_set(fvals):
+    return tuple(int(j) for j in np.flatnonzero(fvals >= -TOL_ACTIVE))
+
+
+def reference_probe_directions(ctx, x, basis):
+    """Check that every claimed face direction survives +-eps probing."""
+    if not len(basis):
+        return
+    cand = np.concatenate([x + PROBE_EPS * basis, x - PROBE_EPS * basis])
+    worst = float(ctx.fs.max_batch(cand).max())
+    if worst > TOL_ACTIVE:
+        raise ProbeMismatch(
+            "a claimed face direction exits the set at the probe step "
+            f"(residual {worst:.3e}); active set is degenerate at this point"
+        )
+
+
+def reference_measure(ctx, x, fvals, active):
+    """Face dimension at x, given fvals = f(x) and active_set(fvals)."""
+    if fvals.size and float(fvals.max()) > TOL_ACTIVE:
+        raise ValueError("point is not feasible within tolerance")
+    if not active:
+        return ctx.system.dim
+    space, basis = ctx.direction_space(active)
+    reference_probe_directions(ctx, x, basis)
+    return space.dim
+
+
+def reference_faces(ctx, x0, pts, ok, vals, refine=True):
+    """The replaced hit loop and refinement of probe_signature, verbatim
+    apart from the reference functions and an identity lift."""
+
+    def lift(y):
+        return y
+
+    dims = {ctx.system.dim: x0}
+    seen_active: set[frozenset[int]] = set()
+    first_hit: dict[int, np.ndarray] = {}
+    skipped = 0
+    for i in np.flatnonzero(ok):
+        fv = vals[i]
+        active = reference_active_set(fv)
+        if not active:
+            continue
+        for j in active:
+            first_hit.setdefault(j, pts[i])
+        try:
+            d = reference_measure(ctx, pts[i], fv, active)
+        except ProbeMismatch:
+            skipped += 1
+            continue
+        seen_active.add(frozenset(active))
+        if d not in dims:
+            dims[d] = lift(pts[i])
+    if not refine:
+        return dims, seen_active, first_hit, skipped, set(first_hit)
+
+    m = ctx.fs.m
+    ever_active = set(first_hit)
+
+    def covered(tup: tuple[int, ...]) -> bool:
+        return any(act.issuperset(tup) for act in seen_active)
+
+    def record(sol: np.ndarray) -> bool:
+        """Record the face at a refined point; False if it is rejected."""
+        if np.isnan(sol[0]):
+            return False
+        fv = ctx.fs.eval_point(sol)
+        if fv.max() > TOL_ACTIVE:
+            return False
+        active = reference_active_set(fv)
+        ever_active.update(active)
+        try:
+            d = reference_measure(ctx, sol, fv, active)
+        except ProbeMismatch:
+            return False
+        seen_active.add(frozenset(active))
+        if d not in dims:
+            dims[d] = lift(sol)
+        return True
+
+    for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
+        pending = []
+        for tup in itertools.combinations(range(m), size):
+            starts = [first_hit[j] for j in tup if j in first_hit]
+            if starts:
+                starts.append(np.mean(starts, axis=0))
+            starts.append(x0)
+            pending.append((tup, starts))
+        for k in itertools.count():
+            pending = [
+                (tup, starts)
+                for tup, starts in pending
+                if k < len(starts) and not covered(tup)
+            ]
+            if not pending:
+                break
+            sols = _gauss_newton_batch(
+                ctx.fs,
+                np.array([tup for tup, _ in pending]),
+                np.array([starts[k] for _, starts in pending]),
+            )
+            unresolved = []
+            for entry, sol in zip(pending, sols):
+                if not covered(entry[0]) and not record(sol):
+                    unresolved.append(entry)
+            pending = unresolved
+    return dims, seen_active, first_hit, skipped, ever_active
+
+
+def assert_same_points(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def assert_matches_reference(ctx, x0, pts, ok, vals):
+    """Both stages agree with the reference; returns the reference's skipped count."""
+    hits = _FaceLog(ctx.fs.m, ctx.system.dim, x0)
+    _read_hits(ctx, hits, pts[ok], vals[ok])
+    dims, seen, first_hit, skipped, _ = reference_faces(ctx, x0, pts, ok, vals, refine=False)
+    assert_same_points(hits.points, dims)
+    assert set(hits.seen) == seen
+    assert_same_points(hits.first_hit, dict(sorted(first_hit.items())))
+    assert hits.skipped == skipped
+
+    log = _probe_faces(ctx, x0, pts, ok, vals)
+    dims, seen, first_hit, skipped, ever_active = reference_faces(ctx, x0, pts, ok, vals)
+    assert_same_points(log.points, dims)
+    assert set(log.seen) == seen
+    assert_same_points(log.first_hit, dict(sorted(first_hit.items())))
+    assert log.skipped == skipped
+    assert log.ever_active == ever_active
+    return skipped
+
+
+def check_system(system, samples, seed):
+    reduced, classes, *_ = _restrict_affine(system)
+    if reduced.dim == 0 or not reduced.constraints:
+        return None
+    ctx = _DimContext(reduced, classes)
+    x0 = interior_point(reduced)
+    dirs = _sampled_directions(reduced.dim, samples, seed)
+    return assert_matches_reference(ctx, x0, *_batch_boundary(ctx.fs, x0, dirs))
+
+
+def ball_at(center, radius_sq, n):
+    a = tuple(-F(c) for c in center)
+    alpha = sum(F(c) * F(c) for c in center) - F(radius_sq)
+    eye = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+    return ConvexQuadratic(A=eye, a=a, alpha=alpha)
+
+
+def test_templates_match_reference():
+    rng = random.Random(801)
+    for _ in range(8):
+        n = rng.randint(2, 9)
+        inner = rng.sample(range(n), rng.randint(1, n))
+        system = realize(Signature.of(n, *inner)).system
+        assert check_system(system, 1000, rng.randint(0, 10**6)) == 0
+
+
+def test_direct_sums_match_reference():
+    rng = random.Random(802)
+    for _ in range(4):
+        parts = []
+        for _ in range(2):
+            n = rng.randint(1, 4)
+            parts.append(realize(Signature.of(n, *rng.sample(range(n), 1))).system)
+        assert check_system(direct_sum(*parts), 800, rng.randint(0, 10**6)) == 0
+
+
+# One quadratic of each class in R^3, with a cross term where the class
+# allows one: (A, a, alpha) of <Ax,x> + 2<a,x> + alpha <= 0.
+_CLASSES = {
+    QuadraticKind.EMPTY: (((0, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 0), 1),
+    QuadraticKind.FULL_SPACE: (((0, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 0), -1),
+    QuadraticKind.SINGLETON: (((2, 1, 0), (1, 2, 0), (0, 0, 1)), (-1, 0, 0), F(2, 3)),
+    QuadraticKind.AFFINE_SUBSPACE: (((1, -1, 0), (-1, 1, 0), (0, 0, 0)), (1, -1, 0), 1),
+    QuadraticKind.HALF_SPACE: (((0, 0, 0), (0, 0, 0), (0, 0, 0)), (1, 2, -1), -1),
+    QuadraticKind.CYLINDER_BALL: (((2, 1, 0), (1, 2, 0), (0, 0, 1)), (0, 1, 0), -3),
+    QuadraticKind.PARABOLOID_CYLINDER: (((1, 0, 0), (0, 0, 0), (0, 0, 0)), (0, -1, 0), 0),
+}
+
+
+@pytest.mark.parametrize("kind", list(QuadraticKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("with_ball", [False, True])
+def test_single_quadratic_classes_match_reference(kind, with_ball):
+    A, a, alpha = _CLASSES[kind]
+    q = ConvexQuadratic(A=A, a=a, alpha=alpha)
+    assert classify(q).kind is kind
+    constraints = (q, ball_at((F(1, 3), 0, 0), 4, 3)) if with_ball else (q,)
+    system = QuadraticSystem(dim=3, constraints=constraints)
+    if kind is QuadraticKind.EMPTY:
+        with pytest.raises(InfeasibleSystem):
+            check_system(system, 600, 11)
+    else:
+        assert check_system(system, 600, 11) in (None, 0)
+
+
+def test_offset_balls_match_reference():
+    rng = random.Random(803)
+    for count in (2, 3, 4):
+        n = rng.randint(2, 4)
+        balls = tuple(
+            ball_at([F(rng.randint(-3, 3), 4) for _ in range(n)], rng.randint(1, 3), n)
+            for _ in range(count)
+        )
+        system = QuadraticSystem(dim=n, constraints=balls)
+        assert check_system(system, 800, rng.randint(0, 10**6)) == 0
+
+
+def test_degenerate_active_sets_are_skipped_alike():
+    # Unit ball cut by 2y <= 0.  Rays aimed at (+-(1 - s), 0) with s of a
+    # few 1e-7 exit through the halfspace with the ball inactive, and its
+    # face direction x leaves the ball within the probe step.
+    system = QuadraticSystem(
+        dim=2,
+        constraints=(
+            ball_at((0, 0), 1, 2),
+            ConvexQuadratic(A=((0, 0), (0, 0)), a=(0, 1), alpha=0),
+        ),
+    )
+    reduced, classes, *_ = _restrict_affine(system)
+    ctx = _DimContext(reduced, classes)
+    x0 = np.array([0.0, -0.5])
+    aims = [(sign * (1 - k * 1e-7), 0.0) for k in range(1, 9) for sign in (1, -1)]
+    aimed = np.array(aims) - x0
+    aimed /= np.linalg.norm(aimed, axis=1, keepdims=True)
+    dirs = np.concatenate([_sampled_directions(2, 200, 5), aimed])
+    dirs = dirs[np.random.default_rng(6).permutation(len(dirs))]
+    skipped = assert_matches_reference(ctx, x0, *_batch_boundary(ctx.fs, x0, dirs))
+    assert skipped >= len(aims)
+
+
+def test_measure_batch_chunks_like_one_batch(monkeypatch):
+    system = realize(Signature.of(0, 1, 2, 3, 4)).system
+    ctx = _DimContext(system, _restrict_affine(system)[1])
+    x0 = interior_point(system)
+    pts, ok, vals = _batch_boundary(ctx.fs, x0, _sampled_directions(4, 500, 3))
+    whole = ctx.measure_batch(pts[ok], vals[ok])
+    monkeypatch.setattr("facetforge.verifier.PROBE_CHUNK", 5)
+    chunked = ctx.measure_batch(pts[ok], vals[ok])
+    assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
+
+
+def test_minimal_face_dim_at_keeps_one_context():
+    system = realize(Signature.of(0, 2, 5)).system
+    report = probe_signature(system, samples=300, seed=4)
+    for d, w in report.witnesses.items():
+        assert minimal_face_dim_at(system, w) == d
+    ctx = system.__dict__["_dim_context"]
+    for d, w in report.witnesses.items():
+        assert minimal_face_dim_at(system, w) == d
+    assert system.__dict__["_dim_context"] is ctx
+    assert system == realize(Signature.of(0, 2, 5)).system
+    with pytest.raises(ValueError):
+        minimal_face_dim_at(system, (2, 0, 0, 0, 0))

@@ -4,7 +4,7 @@ trip, minimal_face_dim_at on every exact witness and probe_signature
 
     PYTHONPATH=src python3 scripts/dim_sweep.py [n ...]
 
-Prints one JSON object: for each n (default 8 16 24 32 48) the wall time of
+Prints one JSON object: for each n (default 8 16 24 32 48 64) the wall time of
 each step in seconds, and whether the certified signature is {0..n}, the
 round trip gives back an equal system, every witness reads back its own
 dimension and the probe finds {0..n}.
@@ -47,4 +47,4 @@ def main(sizes):
 
 
 if __name__ == "__main__":
-    main([int(a) for a in sys.argv[1:]] or [8, 16, 24, 32, 48])
+    main([int(a) for a in sys.argv[1:]] or [8, 16, 24, 32, 48, 64])

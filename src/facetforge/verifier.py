@@ -6,13 +6,17 @@ or a shared-center ball-and-cylinders template with exact margin checks),
 and combines block signatures by integer sumsets plus a shift for free
 coordinates.  Every reported dimension carries a rational witness point.
 
-The probe path is probabilistic: it restricts away affine-subspace
-constraints exactly, finds an interior point, shoots seeded random rays to
-the boundary and reads the minimal face dimension at each hit off the
-active set.  It then refines with targeted Gauss-Newton solves on single
-constraints and small constraint tuples, so that faces no ray reaches
-(joint activity across blocks, constraints that touch the set only where
-rays almost never land) are found too; each round solves one start of
+The probe path is probabilistic.  It splits the system into the same
+blocks and combines their signatures by the same sumset, so joint activity
+across blocks needs no search.  In each block it restricts away
+affine-subspace constraints exactly, finds an interior point, shoots seeded
+random rays to the boundary and reads the minimal face dimension at each
+hit off the active set.  It then refines with targeted Gauss-Newton solves
+on single constraints and small constraint tuples, so that faces no ray
+reaches (corners where constraints meet, constraints that touch the set
+only where rays almost never land) are found too.  A tuple is refined only
+when every sub-tuple one smaller has been seen active, since wherever a
+tuple is active so are its sub-tuples; each round solves one start of
 every unresolved tuple in one vectorized batch.  Constraints never active
 at a hit or a refined point are named in a warning.  Active-set direction
 spaces are computed twice (classification table vs. stacked null space)
@@ -61,7 +65,7 @@ from .quadratics import (
     classify,
     evaluate,
 )
-from .signatures import Signature, minkowski_sum, shift
+from .signatures import Signature
 
 TOL_ACTIVE = 1e-8
 PROBE_EPS = 1e-6
@@ -133,8 +137,13 @@ def disjointness_certificate(params: ConstructionParams) -> DisjointnessCertific
 
 @dataclass(frozen=True)
 class Block:
+    """A variable-disjoint part of a system: the caller's coordinates
+    `indices`, the caller's constraints `constraint_indices`, and `system`,
+    those constraints restricted to those coordinates."""
+
     indices: tuple[int, ...]
     system: QuadraticSystem
+    constraint_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -173,18 +182,18 @@ def blocks(system: QuadraticSystem) -> BlockSplit:
 
     supports = []
     constants = []
-    for q in system.constraints:
+    for k, q in enumerate(system.constraints):
         sup = sorted(_support(q))
         if not sup:
             constants.append(q)
             continue
-        supports.append((q, sup))
+        supports.append((k, q, sup))
         for i in sup[1:]:
             union(sup[0], i)
 
     groups: dict[int, list[int]] = {}
     used = set()
-    for _, sup in supports:
+    for _, _, sup in supports:
         used.update(sup)
     for i in sorted(used):
         groups.setdefault(find(i), []).append(i)
@@ -192,11 +201,8 @@ def blocks(system: QuadraticSystem) -> BlockSplit:
     out = []
     for root in sorted(groups, key=lambda r: groups[r][0]):
         idx = tuple(groups[root])
-        constr = tuple(
-            _restrict_constraint(q, idx)
-            for q, sup in supports
-            if find(sup[0]) == root
-        )
+        members = [(k, q) for k, q, sup in supports if find(sup[0]) == root]
+        constr = tuple(_restrict_constraint(q, idx) for _, q in members)
         witness = None
         if system.interior_witness is not None:
             witness = tuple(system.interior_witness[i] for i in idx)
@@ -206,6 +212,7 @@ def blocks(system: QuadraticSystem) -> BlockSplit:
                 system=QuadraticSystem(
                     dim=len(idx), constraints=constr, interior_witness=witness
                 ),
+                constraint_indices=tuple(k for k, _ in members),
             )
         )
     free = tuple(i for i in range(system.dim) if i not in used)
@@ -229,7 +236,7 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
-def _rational_sqrt_below(target_sq: Fraction, scale: float) -> Fraction:
+def _rational_sqrt_below(target_sq: Fraction, scale: Fraction | float) -> Fraction:
     """Rational t with t^2 slightly below target_sq (gap within tolerance).
 
     The exact root when target_sq is a rational square.  Otherwise, at each
@@ -237,7 +244,8 @@ def _rational_sqrt_below(target_sq: Fraction, scale: float) -> Fraction:
     with k^2 < target * p^2, that is the float guess capped by the integer
     square root of floor(target * p^2) (no k^2 equals target * p^2, which
     is not a square).  The first p whose gap target - t^2, times scale, is
-    within 1% of the activity tolerance wins; else the finest.
+    within 1% of the activity tolerance wins; else the finest.  The gap
+    test multiplies floats, or rationals where float(scale) overflows.
 
     Where that pick is 0 (the root is below its step) or float(target)
     underflows or overflows, the integer square root alone is taken at
@@ -252,16 +260,22 @@ def _rational_sqrt_below(target_sq: Fraction, scale: float) -> Fraction:
         tf = math.sqrt(float(target_sq))
     except OverflowError:
         tf = 0.0
+    try:
+        scale_f = float(scale)
+        weight = Fraction(scale_f)
+    except OverflowError:
+        scale_f, weight = None, Fraction(scale)
+    bound = Fraction(0.01 * TOL_ACTIVE)
     if tf > 0:
         for shift_bits in (48, 64, 96, 128):
             prec = 1 << shift_bits
             k = min(math.floor(tf * prec), math.isqrt(num * prec * prec // den))
             t = Fraction(k, prec)
-            if float(target_sq - t * t) * scale <= 0.01 * TOL_ACTIVE:
+            gap = target_sq - t * t
+            if (gap * weight if scale_f is None else float(gap) * scale_f) <= bound:
                 break
         if k:
             return t
-    weight, bound = Fraction(scale), Fraction(0.01 * TOL_ACTIVE)
     shift_bits = 48
     while True:
         k = math.isqrt((num << 2 * shift_bits) // den)
@@ -284,7 +298,7 @@ def _boundary_point_along(
     curod = dot(direction, mat_vec(q.A, direction))
     assert curod > 0
     ratio = -cls.min_value / curod
-    t = _rational_sqrt_below(ratio, float(curod))
+    t = _rational_sqrt_below(ratio, curod)
     return vec_add(cls.minimizer, vec_scale(t, direction))
 
 
@@ -400,6 +414,50 @@ def _match_ball_cylinder_template(system: QuadraticSystem):
     return sig, witnesses
 
 
+def _split(system: QuadraticSystem) -> BlockSplit:
+    """blocks(system), raising InfeasibleSystem on a positive constant."""
+    split = blocks(system)
+    for q in split.constant_constraints:
+        if q.alpha > 0:
+            raise InfeasibleSystem("a constant constraint is positive")
+    return split
+
+
+def _combine_blocks(
+    dim: int,
+    split: BlockSplit,
+    block_data: list[tuple[Signature, dict]],
+    zero: Fraction | float,
+) -> dict[int, tuple]:
+    """Witnesses of a direct sum from its blocks' own, one per dimension.
+
+    block_data[i] holds the signature of split.blocks[i] and a witness per
+    dimension in the block's coordinates.  Faces of a direct sum are
+    products of faces, so the dimensions are the sumset of the block
+    signatures shifted by the free coordinates.  Each gets the point
+    scattered from its first per-block decomposition (blocks taken in order,
+    partial sums in increasing order), with zero at the free coordinates.
+    """
+    reachable: dict[int, tuple[int, ...]] = {0: ()}
+    for sig, _ in block_data:
+        nxt: dict[int, tuple[int, ...]] = {}
+        for total, choice in sorted(reachable.items()):
+            for d in sig:
+                if total + d not in nxt:
+                    nxt[total + d] = choice + (d,)
+        reachable = nxt
+
+    free = len(split.free_indices)
+    witnesses: dict[int, tuple] = {}
+    for total, choice in reachable.items():
+        x = [zero] * dim
+        for blk, (_, wmap), d in zip(split.blocks, block_data, choice):
+            for local, value in enumerate(wmap[d]):
+                x[blk.indices[local]] = value
+        witnesses[total + free] = tuple(x)
+    return witnesses
+
+
 def exact_signature(system: QuadraticSystem) -> VerificationReport:
     """Certified signature via block split, classification and templates.
 
@@ -407,10 +465,7 @@ def exact_signature(system: QuadraticSystem) -> VerificationReport:
     UnrecognizedStructure when a block is neither a single quadratic nor a
     ball-and-cylinders template (the probe path handles those).
     """
-    split = blocks(system)
-    for q in split.constant_constraints:
-        if q.alpha > 0:
-            raise InfeasibleSystem("a constant constraint is positive")
+    split = _split(system)
     block_data: list[tuple[Signature, dict[int, RVector]]] = []
     for blk in split.blocks:
         if len(blk.system.constraints) == 1:
@@ -425,39 +480,16 @@ def exact_signature(system: QuadraticSystem) -> VerificationReport:
             )
         block_data.append(matched)
 
-    free = len(split.free_indices)
-    total_sig = Signature.of(0)
-    for sig, _ in block_data:
-        total_sig = minkowski_sum(total_sig, sig)
-    total_sig = shift(total_sig, free)
-
-    # One witness per reported dimension: pick a per-block decomposition of
-    # the dimension and scatter block witnesses into place.
-    reachable: dict[int, tuple[int, ...]] = {0: ()}
-    for sig, _ in block_data:
-        nxt: dict[int, tuple[int, ...]] = {}
-        for total, choice in sorted(reachable.items()):
-            for d in sig:
-                if total + d not in nxt:
-                    nxt[total + d] = choice + (d,)
-        reachable = nxt
-
-    witnesses: dict[int, tuple] = {}
-    for total, choice in reachable.items():
-        x = list(zero_vector(system.dim))
-        for blk, (sig, wmap), d in zip(split.blocks, block_data, choice):
-            for local, value in enumerate(wmap[d]):
-                x[blk.indices[local]] = value
-        point = tuple(x)
+    witnesses = _combine_blocks(system.dim, split, block_data, Fraction(0))
+    for total, point in witnesses.items():
         for j, q in enumerate(system.constraints):
             if evaluate(q, point) > 0:
                 raise AssertionError(
-                    f"witness for dimension {total + free} violates constraint {j}"
+                    f"witness for dimension {total} violates constraint {j}"
                 )
-        witnesses[total + free] = point
 
     return VerificationReport(
-        signature=total_sig,
+        signature=Signature(tuple(witnesses)),
         method="exact",
         confidence=Confidence(kind="exact"),
         witnesses=witnesses,
@@ -923,22 +955,22 @@ def _gauss_newton_batch(
     return out
 
 
-def _block_lineality_warnings(system: QuadraticSystem) -> list[str]:
-    out = []
-    for blk in blocks(system).blocks:
-        if len(blk.system.constraints) < 2:
-            continue
-        stacked: list[RVector] = []
-        for q in blk.system.constraints:
-            stacked.extend(q.A)
-            stacked.append(q.a)
-        lin = null_space_basis(tuple(stacked), blk.system.dim)
-        if lin.dim > 0:
-            out.append(
-                f"block on coordinates {blk.indices} is unbounded along "
-                f"{lin.dim} direction(s); probe coverage may be incomplete"
-            )
-    return out
+def _lineality_warning(blk: Block) -> list[str]:
+    """A warning when a block of two or more constraints is unbounded along
+    a line, naming the block by the caller's coordinates."""
+    if len(blk.system.constraints) < 2:
+        return []
+    stacked: list[RVector] = []
+    for q in blk.system.constraints:
+        stacked.extend(q.A)
+        stacked.append(q.a)
+    lin = null_space_basis(tuple(stacked), blk.system.dim)
+    if not lin.dim:
+        return []
+    return [
+        f"block on coordinates {blk.indices} is unbounded along "
+        f"{lin.dim} direction(s); probe coverage may be incomplete"
+    ]
 
 
 class _FaceLog:
@@ -1029,10 +1061,13 @@ def _probe_faces(
 
     Corners where several constraints meet, and constraints no ray reached,
     have measure zero for random rays, so refinement solves for activity
-    directly, size by size up to DEFAULT_TUPLE_CAP.  Round k refines the
-    k-th start of every unresolved tuple of one size in one batch; a tuple
-    is resolved by its first start that lands on a feasible, cross-validated
-    point, or once a recorded active set covers it.
+    directly, size by size up to DEFAULT_TUPLE_CAP.  A tuple of two or more
+    constraints is refined only when each of its sub-tuples one smaller is
+    covered by a recorded active set: wherever a tuple is active, so is
+    every sub-tuple.  Round k refines the k-th start of every unresolved
+    tuple of one size in one batch; a tuple is resolved by its first start
+    that lands on a feasible, cross-validated point, or once a recorded
+    active set covers it.
     """
     m = ctx.fs.m
     log = _FaceLog(m, ctx.system.dim, x0)
@@ -1041,6 +1076,10 @@ def _probe_faces(
     for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
         pending = []
         for tup in itertools.combinations(range(m), size):
+            if size > 1 and not all(
+                log.covered(sub) for sub in itertools.combinations(tup, size - 1)
+            ):
+                continue
             starts = [log.first_hit[j] for j in tup if j in log.first_hit]
             if starts:
                 starts.append(np.mean(starts, axis=0))
@@ -1068,68 +1107,84 @@ def probe_signature(
     samples: int = DEFAULT_SAMPLES,
     seed: int | None = None,
 ) -> VerificationReport:
-    """Probabilistic signature from seeded boundary sampling.
+    """Probabilistic signature from seeded boundary sampling, block by block.
 
-    Affine-subspace constraints are removed by exact restriction first.
-    The `samples` ray directions come from one generator seeded by seed, so
-    the same seed gives the same report and a run with more samples shoots
-    the same rays first.  All hits are measured in one batch: hits are
-    grouped by active set, each distinct set's direction space is computed
-    once, and every hit gets its own +-eps probe (_DimContext.measure_batch).
-    After sampling, every constraint tuple of size 1 to DEFAULT_TUPLE_CAP
-    that was never seen jointly active gets targeted Gauss-Newton
-    refinement, which reaches faces that rays miss almost surely.
-    Refinement goes size by size in start-major rounds: round k solves the
-    k-th start of every unresolved tuple in one batch, then the tuples are
-    resolved in order by the first start that lands on a feasible point
-    whose active set cross-validates.  Samples whose active set fails
-    cross-validation are skipped and counted in warnings, and a warning
+    The system is split into variable-disjoint blocks (blocks()); each block
+    is probed on its own and the block reports are combined as the exact
+    path combines its blocks: the sumset of the block signatures, shifted
+    by the free coordinates, with witnesses scattered into place.  Joint
+    activity across blocks therefore comes from the sumset.
+
+    In each block, affine-subspace constraints are removed by exact
+    restriction first.  The block shoots `samples` ray directions from one
+    generator seeded by seed, so the same seed gives the same report and a
+    run with more samples shoots the same rays first.  All hits are
+    measured in one batch: hits are grouped by active set, each distinct
+    set's direction space is computed once, and every hit gets its own
+    +-eps probe (_DimContext.measure_batch).  After sampling, constraint
+    tuples of size 1 to DEFAULT_TUPLE_CAP that were never seen jointly
+    active get targeted Gauss-Newton refinement, which reaches faces that
+    rays miss almost surely; a tuple of two or more is tried only when all
+    its sub-tuples one smaller have been seen active.  Refinement goes size
+    by size in start-major rounds: round k solves the k-th start of every
+    unresolved tuple in one batch, then the tuples are resolved in order by
+    the first start that lands on a feasible point whose active set
+    cross-validates.  Samples whose active set fails cross-validation are
+    skipped and counted, over all blocks, in one warning, and a warning
     names, by index in `system`, every constraint that was never active at
     a hit or a refined point; the result is a lower approximation of the
     signature in the worst case, never an overclaim.
     """
     if seed is None:
         seed = DEFAULT_SEED
-    reduced, classes, origin, offset, columns = _restrict_affine(system)
+    split = _split(system)
+    # Every block is restricted before any is probed, so an empty block
+    # raises InfeasibleSystem before another block's interior search fails.
+    restricted = [_restrict_affine(blk.system) for blk in split.blocks]
     warnings: list[str] = []
-    n = reduced.dim
+    block_data: list[tuple[Signature, dict[int, tuple]]] = []
+    skipped = shot = 0
+    never: list[int] = []
+    for blk, (reduced, classes, origin, offset, columns) in zip(split.blocks, restricted):
+        n = reduced.dim
+        points = {n: np.zeros(n)}
+        if n and reduced.constraints:
+            warnings.extend(_lineality_warning(blk))
+            ctx = _DimContext(reduced, classes)
+            x0 = interior_point(reduced)
+            directions = _sampled_directions(n, samples, seed)
+            log = _probe_faces(ctx, x0, *_batch_boundary(ctx.fs, x0, directions))
+            points = log.points
+            skipped += log.skipped
+            shot += samples
+            never.extend(
+                blk.constraint_indices[origin[j]]
+                for j in range(ctx.fs.m)
+                if j not in log.ever_active
+            )
+        offset_f = np.array([float(e) for e in offset], dtype=float)
+        columns_f = np.array([[float(e) for e in col] for col in columns], dtype=float)
+        columns_f = columns_f.reshape(n, len(offset)).T
+        block_data.append((
+            Signature(tuple(points)),
+            {d: tuple((offset_f + columns_f @ y).tolist()) for d, y in points.items()},
+        ))
 
-    offset_f = np.array([float(e) for e in offset], dtype=float)
-    columns_f = (
-        np.array([[float(e) for e in col] for col in columns], dtype=float).T
-        if columns
-        else np.zeros((len(offset), 0))
-    )
-
-    def lift(y: np.ndarray) -> tuple:
-        return tuple((offset_f + columns_f @ y).tolist())
-
-    def report(points: dict[int, np.ndarray]) -> VerificationReport:
-        return VerificationReport(
-            signature=Signature(tuple(points)),
-            method="probe",
-            confidence=Confidence("probabilistic", samples, TOL_ACTIVE),
-            witnesses={d: lift(y) for d, y in points.items()},
-            warnings=tuple(warnings),
-        )
-
-    if n == 0 or not reduced.constraints:
-        return report({n: np.zeros(n)})
-
-    warnings.extend(_block_lineality_warnings(reduced))
-    ctx = _DimContext(reduced, classes)
-    x0 = interior_point(reduced)
-    directions = _sampled_directions(n, samples, seed)
-    log = _probe_faces(ctx, x0, *_batch_boundary(ctx.fs, x0, directions))
-    if log.skipped:
+    if skipped:
         warnings.append(
-            f"{log.skipped} of {samples} samples skipped: active set failed "
+            f"{skipped} of {shot} samples skipped: active set failed "
             "cross-validation near tolerance"
         )
-    never = sorted(origin[j] for j in range(ctx.fs.m) if j not in log.ever_active)
     if never:
         warnings.append(
-            f"constraint(s) {', '.join(map(str, never))} never active at a "
+            f"constraint(s) {', '.join(map(str, sorted(never)))} never active at a "
             "boundary hit or refinement; faces on them may be missing"
         )
-    return report(log.points)
+    witnesses = _combine_blocks(system.dim, split, block_data, 0.0)
+    return VerificationReport(
+        signature=Signature(tuple(witnesses)),
+        method="probe",
+        confidence=Confidence("probabilistic", samples, TOL_ACTIVE),
+        witnesses=witnesses,
+        warnings=tuple(warnings),
+    )

@@ -273,8 +273,7 @@ def _huge_entry_file(tmp_path, A, a):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["verify"], ["verify", "--probe"], ["export", "--format", "socp"], ["slice"]],
+    "command", [["verify", "--probe"], ["export", "--format", "socp"], ["slice"]]
 )
 def test_entry_beyond_float_range_exit_2(tmp_path, capsys, command):
     path = _huge_entry_file(tmp_path, [["1e400", "0"], ["0", "1"]], ["0", "0"])
@@ -285,6 +284,21 @@ def test_entry_beyond_float_range_exit_2(tmp_path, capsys, command):
     assert main([command[0], path, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["1e400", "3e400"])
+def test_exact_verify_of_entry_beyond_float_range(tmp_path, capsys, entry):
+    # entry * x0^2 + x1^2 <= 1: the exact path needs no float of the entry
+    path = _huge_entry_file(tmp_path, [[entry, "0"], ["0", "1"]], ["0", "0"])
+    assert main(["verify", path, "--expect", "0,2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["method"] == "exact" and report["signature"] == [0, 2]
+    values = {}
+    for dim, point in report["witnesses"].items():
+        x0, x1 = (Fraction(e) for e in point)
+        values[int(dim)] = Fraction(entry) * x0 * x0 + x1 * x1 - 1
+    # the dimension-0 witness is a boundary point, to within 2^-40
+    assert values[2] < 0 and -Fraction(1, 2**40) <= values[0] <= 0
 
 
 def test_exact_verify_of_huge_halfspace_still_works(tmp_path, capsys):

@@ -273,7 +273,13 @@ def _huge_entry_file(tmp_path, A, a):
 
 
 @pytest.mark.parametrize(
-    "command", [["verify", "--probe"], ["export", "--format", "socp"], ["slice"]]
+    "command",
+    [
+        ["export", "--format", "sdpa"],
+        ["verify", "--probe"],
+        ["export", "--format", "socp"],
+        ["slice"],
+    ],
 )
 def test_entry_beyond_float_range_exit_2(tmp_path, capsys, command):
     path = _huge_entry_file(tmp_path, [["1e400", "0"], ["0", "1"]], ["0", "0"])

@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the signature of a system file")
     p.add_argument("system", help="system JSON path")
     p.add_argument("--probe", action="store_true", help="force the sampling path")
-    p.add_argument("--samples", type=_positive_int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000,
+                   help="rays per probed block (default 10000)")
     p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--expect", help="signature to compare against, e.g. 0,2,3")
     p.set_defaults(func=_cmd_verify)

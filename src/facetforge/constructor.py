@@ -5,15 +5,17 @@ center: in R^d, the cylinder of index i (1 <= i <= d-1) is
 
     (x_{i+1} + c)^2 + x_{i+2}^2 + ... + x_d^2 <= r^2
 
-written with 1-based coordinates.  With parameters satisfying the exact
-margin conditions of boundary_disjointness_margins, the intersection of the
-unit ball with any subset of cylinders has signature {0} u {indices} u {d}:
-each cylinder contributes exactly one proper face dimension, the cylinder
-boundaries stay pairwise disjoint inside the ball, and the origin remains
-interior.  Signatures with min > 0 take free coordinates appended last;
-complete signatures admit a logarithmic-size variant made of dyadic ball
-blocks.  Sumset decompositions turn any signature into a direct sum of such
-templates with fewer inequalities.
+written with 1-based coordinates.  Its matrix has the nonzero rows
+template_rows(i, d), the ball's template_rows(0, d); the exact verifier
+recognizes templates by the same rows.  With parameters satisfying the
+exact margin conditions of boundary_disjointness_margins, the intersection
+of the unit ball with any subset of cylinders has signature
+{0} u {indices} u {d}: each cylinder contributes exactly one proper face
+dimension, the cylinder boundaries stay pairwise disjoint inside the ball,
+and the origin remains interior.  Signatures with min > 0 take free
+coordinates appended last; complete signatures admit a logarithmic-size
+variant made of dyadic ball blocks.  Sumset decompositions turn any
+signature into a direct sum of such templates with fewer inequalities.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_linalg import RVector, dot, mat_vec, rvector, unit_vector, vec_add, zero_vector
+from .exact_linalg import RVector, dot, mat_vec, rvector, vec_add, zero_vector
 from .quadratics import ConvexQuadratic, QuadraticSystem, embed, evaluate
 from .signatures import (
     DecompositionCapExceeded,
@@ -82,25 +84,27 @@ def default_params() -> ConstructionParams:
     return ConstructionParams(c=Fraction(7, 10), r=Fraction(8, 5))
 
 
+def template_rows(index: int, n: int) -> dict[int, dict[int, int]]:
+    """Nonzero rows of the template matrix of face dimension `index` in R^n:
+    the identity on the last n - index coordinates.  Index 0 is the ball's."""
+    return {i: {i: 1} for i in range(index, n)}
+
+
 def build_ball(n: int) -> ConvexQuadratic:
     """The unit ball |x|^2 <= 1 in R^n."""
     if n < 1:
         raise ValueError("the ball needs at least one dimension")
-    rows = tuple(unit_vector(i, n) for i in range(n))
-    return ConvexQuadratic(A=rows, a=zero_vector(n), alpha=Fraction(-1))
+    return ConvexQuadratic(A=template_rows(0, n), a=zero_vector(n), alpha=Fraction(-1))
 
 
 def build_cylinder(index: int, n: int, params: ConstructionParams) -> ConvexQuadratic:
     """Cylinder of face dimension `index` in R^n, centered like the ball."""
     if not 1 <= index <= n - 1:
         raise ValueError("cylinder index must lie strictly between 0 and n")
-    rows = tuple(
-        unit_vector(i, n) if i >= index else zero_vector(n) for i in range(n)
-    )
     a = list(zero_vector(n))
     a[index] = params.c
     return ConvexQuadratic(
-        A=rows, a=tuple(a), alpha=params.c * params.c - params.r * params.r
+        A=template_rows(index, n), a=a, alpha=params.c * params.c - params.r * params.r
     )
 
 

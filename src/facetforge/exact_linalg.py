@@ -7,7 +7,7 @@ out.  The symmetry test and the LDL^T elimination take either form and
 touch nonzeros only.  Every operation here is exact; floating point never
 enters.  One integer row reduction (_rref) answers rank, null-space bases
 and linear solves; it keeps every row primitive, so coefficient growth
-stays in check.
+stays in check, and takes rows dense or as dicts {j: m_j} of nonzeros.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ def is_symmetric(m: RMatrix | SparseRows) -> bool:
     )
 
 
-def _integer_rows(m) -> list[list[int]]:
+def _integer_rows(m, ncols: int) -> list[list[int]]:
     # Row scaling by the denominator lcm preserves rank, null space and RREF.
     out = []
     for row in m:
-        nonzero = [(j, e) for j, e in enumerate(row) if e]
+        pairs = row.items() if isinstance(row, dict) else enumerate(row)
+        nonzero = [(j, e) for j, e in pairs if e]
         scale = lcm(*(e.denominator for _, e in nonzero))
-        ints = [0] * len(row)
+        ints = [0] * ncols
         for j, e in nonzero:
             ints[j] = e.numerator * (scale // e.denominator)
         out.append(ints)
@@ -101,10 +102,11 @@ def _rref(m, ncols: int):
 
     Gauss-Jordan over the integers: rows are scaled to integers, and every
     updated row is divided by the gcd of its entries, so it stays primitive
-    and coefficients stay bounded.  Entries of m are Fraction or int;
-    Fractions are built for the returned pivot rows only.
+    and coefficients stay bounded.  Each row of m is a dense tuple of
+    length ncols or a dict {j: m_j} of its nonzero entries; entries are
+    Fraction or int.  Fractions are built for the returned pivot rows only.
     """
-    rows = _integer_rows(m)
+    rows = _integer_rows(m, ncols)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -166,12 +168,13 @@ def full_space(n: int) -> Subspace:
     return Subspace(n, identity_matrix(n))
 
 
-def null_space_basis(m: RMatrix, ambient_dim: int | None = None) -> Subspace:
-    """Basis of {x : m x = 0}.  ambient_dim is required when m has no rows."""
-    if m:
+def null_space_basis(m, ambient_dim: int | None = None) -> Subspace:
+    """Basis of {x : m x = 0}, rows given as for _rref.  ambient_dim is
+    required when m has no rows or its first row is a dict."""
+    if ambient_dim is None:
+        if not m or isinstance(m[0], dict):
+            raise ValueError("ambient_dim required for an empty or sparse matrix")
         ambient_dim = len(m[0])
-    elif ambient_dim is None:
-        raise ValueError("ambient_dim required for an empty matrix")
     rows, pivots = _rref(m, ambient_dim)
     free = [c for c in range(ambient_dim) if c not in pivots]
     basis = []

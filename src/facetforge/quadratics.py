@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linalg import (
+    _ZERO,
     RMatrix,
     RVector,
     Subspace,
@@ -37,7 +38,6 @@ from .exact_linalg import (
     solve_linear,
     sparse_rows,
     vec_scale,
-    zero_vector,
 )
 from .signatures import Signature
 
@@ -46,11 +46,12 @@ from .signatures import Signature
 class ConvexQuadratic:
     """One inequality <Ax,x> + 2<a,x> + alpha <= 0 with A symmetric PSD.
 
-    A stays the dense tuple of row tuples that equality, hashing, repr and
-    the JSON codec read.  Construction also derives `nonzeros`, the nonzero
-    entries of A as rows {i: {j: A_ij}} (rows of zeros left out), which is
-    not a dataclass field; symmetry, the PSD test, evaluation and
-    classification work on it.
+    A is given as dense rows or as its nonzero rows {i: {j: A_ij}}; either
+    way the field A holds the dense tuple of row tuples that equality,
+    hashing, repr and the JSON codec read, absent entries sharing one
+    Fraction(0).  Construction also keeps `nonzeros`, the nonzero rows of A
+    in index order (rows of zeros left out), which is not a dataclass
+    field; symmetry, the PSD test, evaluation and classification work on it.
     """
 
     A: RMatrix
@@ -58,16 +59,28 @@ class ConvexQuadratic:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "A", rmatrix(self.A))
         object.__setattr__(self, "a", rvector(self.a))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         n = len(self.a)
-        if len(self.A) != n or any(len(row) != n for row in self.A):
-            raise ValueError("matrix shape does not match the linear term")
-        object.__setattr__(self, "nonzeros", sparse_rows(self.A))
-        if not is_symmetric(self.nonzeros):
+        if isinstance(self.A, dict):
+            rows = {i: {j: e if type(e) is Fraction else Fraction(e)
+                        for j, e in sorted(row.items()) if e}
+                    for i, row in sorted(self.A.items()) if any(row.values())}
+            if any(not 0 <= k < n for i, row in rows.items() for k in (i, *row)):
+                raise ValueError("matrix shape does not match the linear term")
+            zero = (_ZERO,) * n
+            A = tuple(tuple(map(rows[i].get, range(n), zero)) if i in rows else zero
+                      for i in range(n))
+        else:
+            A = rmatrix(self.A)
+            if len(A) != n or any(len(row) != n for row in A):
+                raise ValueError("matrix shape does not match the linear term")
+            rows = sparse_rows(A)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "nonzeros", rows)
+        if not is_symmetric(rows):
             raise ValueError("quadratic form matrix must be symmetric")
-        ok, _ = psd_ldlt(self.nonzeros, n)
+        ok, _ = psd_ldlt(rows, n)
         if not ok:
             raise ValueError("quadratic form matrix is not positive semidefinite")
 
@@ -141,12 +154,13 @@ def classify(q: ConvexQuadratic) -> QuadraticClass:
             proper_face_dim=n - 1,
             face_directions=dirs,
         )
-    null = null_space_basis(q.A)
+    rows = tuple(q.nonzeros.values())
+    null = null_space_basis(rows, n)
     m = null.dim
     x0 = solve_linear(q.A, vec_scale(-1, q.a))
     if x0 is None:
         # A is symmetric: a leaves range(A) exactly when a_N != 0.
-        dirs = null_space_basis(q.A + (q.a,))
+        dirs = null_space_basis(rows + (q.a,), n)
         return QuadraticClass(
             QuadraticKind.PARABOLOID_CYLINDER,
             m,
@@ -217,17 +231,12 @@ def embed(q: ConvexQuadratic, target_dim: int, offset: int) -> ConvexQuadratic:
     n, d = target_dim, q.dim
     if offset < 0 or offset + d > n:
         raise ValueError("embedding window does not fit the target dimension")
-    rows = []
-    for i in range(n):
-        if offset <= i < offset + d:
-            src = q.A[i - offset]
-            rows.append(
-                (Fraction(0),) * offset + tuple(src) + (Fraction(0),) * (n - offset - d)
-            )
-        else:
-            rows.append(zero_vector(n))
-    a = (Fraction(0),) * offset + tuple(q.a) + (Fraction(0),) * (n - offset - d)
-    return ConvexQuadratic(A=tuple(rows), a=a, alpha=q.alpha)
+    rows = {
+        offset + i: {offset + j: e for j, e in row.items()}
+        for i, row in q.nonzeros.items()
+    }
+    a = (_ZERO,) * offset + q.a + (_ZERO,) * (n - offset - d)
+    return ConvexQuadratic(A=rows, a=a, alpha=q.alpha)
 
 
 def direct_sum(s: QuadraticSystem, t: QuadraticSystem) -> QuadraticSystem:

@@ -43,6 +43,7 @@ from .constructor import (
     ConstructionParams,
     boundary_disjointness_margins,
     template_margins,
+    template_rows,
 )
 from .exact_linalg import (
     RVector,
@@ -51,7 +52,6 @@ from .exact_linalg import (
     intersect_subspaces,
     mat_vec,
     null_space_basis,
-    rvector,
     unit_vector,
     vec_add,
     vec_scale,
@@ -158,7 +158,9 @@ def _support(q: ConvexQuadratic) -> set[int]:
 
 
 def _restrict_constraint(q: ConvexQuadratic, idx: tuple[int, ...]) -> ConvexQuadratic:
-    rows = tuple(tuple(q.A[i][j] for j in idx) for i in idx)
+    pos = {k: p for p, k in enumerate(idx)}
+    rows = {pos[i]: {pos[j]: e for j, e in row.items() if j in pos}
+            for i, row in q.nonzeros.items() if i in pos}
     return ConvexQuadratic(A=rows, a=tuple(q.a[i] for i in idx), alpha=q.alpha)
 
 
@@ -304,8 +306,8 @@ def _boundary_point_along(
 
 def _cylinder_ball_direction(q: ConvexQuadratic) -> RVector:
     # Some diagonal entry of a nonzero PSD matrix is positive.
-    for i, row in enumerate(q.A):
-        if row[i] > 0:
+    for i, row in q.nonzeros.items():
+        if row.get(i, 0) > 0:
             return unit_vector(i, q.dim)
     raise AssertionError("nonzero PSD matrix with zero diagonal")
 
@@ -318,8 +320,6 @@ def _single_constraint_block(
     kind = cls.kind
     if kind is _KIND.EMPTY:
         raise InfeasibleSystem("a constraint admits no solution")
-    if kind is _KIND.FULL_SPACE:
-        return cls.signature, {n: zero_vector(n)}
     if kind in (_KIND.SINGLETON, _KIND.AFFINE_SUBSPACE):
         return cls.signature, {cls.nullity: cls.minimizer}
     if kind is _KIND.HALF_SPACE:
@@ -341,17 +341,8 @@ def _single_constraint_block(
 
 def _parse_template_cylinder(q: ConvexQuadratic):
     """(index, c, r_squared) when q matches the centered cylinder shape."""
-    n = q.dim
-    if any(j != i for i, row in q.nonzeros.items() for j in row):
-        return None
-    diag = [q.A[i][i] for i in range(n)]
-    try:
-        idx = diag.index(Fraction(1))
-    except ValueError:
-        return None
-    if any(e != 0 for e in diag[:idx]) or any(e != 1 for e in diag[idx:]):
-        return None
-    if not 1 <= idx <= n - 1:
+    idx = min(q.nonzeros, default=0)
+    if not 1 <= idx <= q.dim - 1 or q.nonzeros != template_rows(idx, q.dim):
         return None
     if any(e != 0 for i, e in enumerate(q.a) if i != idx):
         return None
@@ -368,8 +359,7 @@ def _is_unit_ball(q: ConvexQuadratic) -> bool:
     return (
         q.alpha == -1
         and not any(q.a)
-        and len(q.nonzeros) == q.dim
-        and all(row == {i: 1} for i, row in q.nonzeros.items())
+        and q.nonzeros == template_rows(0, q.dim)
     )
 
 
@@ -382,18 +372,10 @@ def _match_ball_cylinder_template(system: QuadraticSystem):
     block does not match.
     """
     d = system.dim
-    balls = [q for q in system.constraints if _is_unit_ball(q)]
-    if len(balls) != 1:
-        return None
-    parsed = []
-    for q in system.constraints:
-        if _is_unit_ball(q):
-            continue
-        p = _parse_template_cylinder(q)
-        if p is None:
-            return None
-        parsed.append(p)
-    if not parsed:
+    parsed = [
+        _parse_template_cylinder(q) for q in system.constraints if not _is_unit_ball(q)
+    ]
+    if not parsed or len(parsed) != len(system.constraints) - 1 or None in parsed:
         return None
     indices = [p[0] for p in parsed]
     if len(set(indices)) != len(indices):
@@ -515,7 +497,8 @@ class _FloatSystem:
         a = np.zeros((m, n))
         alpha = np.zeros(m)
         for k, q in enumerate(system.constraints):
-            A[k] = [[float(e) for e in row] for row in q.A]
+            for i, row in q.nonzeros.items():
+                A[k, i, list(row)] = [float(e) for e in row.values()]
             a[k] = [float(e) for e in q.a]
             alpha[k] = float(q.alpha)
         return cls(A, a, alpha)
@@ -714,7 +697,7 @@ class _DimContext:
             return self._spaces[active]
         n = self.system.dim
         spaces = []
-        stacked: list[RVector] = []
+        stacked = []
         for j in active:
             cls = self.classes[j]
             q = self.system.constraints[j]
@@ -722,11 +705,12 @@ class _DimContext:
                 continue
             if cls.kind is _KIND.EMPTY:
                 raise InfeasibleSystem("active constraint admits no solution")
+            rows = tuple(q.nonzeros.values())
             if cls.kind in (_KIND.AFFINE_SUBSPACE, _KIND.SINGLETON):
-                spaces.append(null_space_basis(q.A))
+                spaces.append(null_space_basis(rows, n))
             else:
                 spaces.append(cls.face_directions)
-            stacked.extend(q.A)
+            stacked.extend(rows)
             stacked.append(q.a)
         direct = intersect_subspaces(spaces, ambient_dim=n)
         recheck = null_space_basis(tuple(stacked), n)
@@ -863,17 +847,12 @@ def _restrict_affine(system: QuadraticSystem):
             None,
         )
         if target is None:
-            constraints = tuple(q for q, _, _ in keep)
-            witness = current.interior_witness
-            if witness is not None and any(
-                evaluate(q, witness) >= 0 for q in constraints
-            ):
-                witness = None
+            # Any witness passed QuadraticSystem's strict check.
             return (
                 QuadraticSystem(
                     dim=current.dim,
-                    constraints=constraints,
-                    interior_witness=witness,
+                    constraints=tuple(q for q, _, _ in keep),
+                    interior_witness=current.interior_witness,
                 ),
                 [c for _, c, _ in keep],
                 [o for _, _, o in keep],
@@ -882,7 +861,7 @@ def _restrict_affine(system: QuadraticSystem):
             )
         q0, cls0 = target
         base = cls0.minimizer
-        sub_basis = null_space_basis(q0.A).basis
+        sub_basis = null_space_basis(tuple(q0.nonzeros.values()), current.dim).basis
         offset = vec_add(
             offset,
             _combine_columns(columns, base),
@@ -895,10 +874,9 @@ def _restrict_affine(system: QuadraticSystem):
                 continue
             shifted_a = vec_add(mat_vec(q.A, base), q.a)
             new_a = tuple(dot(b, shifted_a) for b in sub_basis)
-            new_rows = tuple(
-                tuple(dot(bi, mat_vec(q.A, bj)) for bj in sub_basis)
-                for bi in sub_basis
-            )
+            images = [mat_vec(q.A, b) for b in sub_basis]
+            new_rows = {i: dict(enumerate(dot(bi, image) for image in images))
+                        for i, bi in enumerate(sub_basis)}
             new_alpha = evaluate(q, base)
             new_constraints.append(
                 ConvexQuadratic(A=new_rows, a=new_a, alpha=Fraction(new_alpha))
@@ -960,9 +938,9 @@ def _lineality_warning(blk: Block) -> list[str]:
     a line, naming the block by the caller's coordinates."""
     if len(blk.system.constraints) < 2:
         return []
-    stacked: list[RVector] = []
+    stacked = []
     for q in blk.system.constraints:
-        stacked.extend(q.A)
+        stacked.extend(q.nonzeros.values())
         stacked.append(q.a)
     lin = null_space_basis(tuple(stacked), blk.system.dim)
     if not lin.dim:

@@ -137,6 +137,21 @@ class QuadraticClass:
     null_component: RVector | None = None
 
 
+def constant_directions(constraints, n: int) -> Subspace:
+    """Directions d along which every given quadratic is constant.
+
+    f(x + td) = f(x) + 2t<Ax + a, d> + t^2<Ad, d> with A PSD, so f is
+    constant along d exactly when Ad = 0 and <a, d> = 0: the null space of
+    the stacked nonzero rows of each A and each linear term a.  This is the
+    face-direction rule, for one constraint's class and for an active set.
+    """
+    rows = []
+    for q in constraints:
+        rows.extend(q.nonzeros.values())
+        rows.append(q.a)
+    return null_space_basis(tuple(rows), n)
+
+
 def classify(q: ConvexQuadratic) -> QuadraticClass:
     n = q.dim
     if not q.nonzeros:
@@ -146,13 +161,12 @@ def classify(q: ConvexQuadratic) -> QuadraticClass:
             return QuadraticClass(
                 QuadraticKind.FULL_SPACE, n, Signature.of(n), min_value=q.alpha
             )
-        dirs = null_space_basis((q.a,))
         return QuadraticClass(
             QuadraticKind.HALF_SPACE,
             n,
             Signature.of(n - 1, n),
             proper_face_dim=n - 1,
-            face_directions=dirs,
+            face_directions=constant_directions((q,), n),
         )
     rows = tuple(q.nonzeros.values())
     null = null_space_basis(rows, n)
@@ -160,13 +174,12 @@ def classify(q: ConvexQuadratic) -> QuadraticClass:
     x0 = solve_linear(q.A, vec_scale(-1, q.a))
     if x0 is None:
         # A is symmetric: a leaves range(A) exactly when a_N != 0.
-        dirs = null_space_basis(rows + (q.a,), n)
         return QuadraticClass(
             QuadraticKind.PARABOLOID_CYLINDER,
             m,
             Signature.of(m - 1, n),
             proper_face_dim=m - 1,
-            face_directions=dirs,
+            face_directions=constant_directions((q,), n),
             null_component=project_onto(q.a, null),
         )
     v_min = q.alpha + dot(q.a, x0)

@@ -18,11 +18,12 @@ only where rays almost never land) are found too.  A tuple is refined only
 when every sub-tuple one smaller has been seen active, since wherever a
 tuple is active so are its sub-tuples; each round solves one start of
 every unresolved tuple in one vectorized batch.  Constraints never active
-at a hit or a refined point are named in a warning.  Active-set direction
-spaces are computed twice (classification table vs. stacked null space)
-and every claimed face direction is probed at +-eps in floating point;
-disagreement surfaces as ProbeMismatch instead of being resolved
-silently.
+at a hit or a refined point are named in a warning.  An active set's
+face direction space is the null space of its constraints' stacked rows
+(quadratics.constant_directions); each constraint's own such space is
+checked once against its exact classification, and every claimed face
+direction is probed at +-eps in floating point; disagreement surfaces as
+ProbeMismatch instead of being resolved silently.
 
 Ray exits are closed-form quadratic roots, pulled back until the hit point
 evaluates feasible.  Tolerances: activity 1e-8, face probe step 1e-6,
@@ -49,7 +50,6 @@ from .exact_linalg import (
     RVector,
     Subspace,
     dot,
-    intersect_subspaces,
     mat_vec,
     null_space_basis,
     unit_vector,
@@ -63,6 +63,7 @@ from .quadratics import (
     QuadraticKind,
     QuadraticSystem,
     classify,
+    constant_directions,
     evaluate,
 )
 from .signatures import Signature
@@ -678,6 +679,9 @@ class _DimContext:
     """Face measurement for one system.
 
     classes[j] is classify(system.constraints[j]), computed by the caller.
+    Each constraint is checked once: its constant directions must have the
+    dimension its class claims, that of face_directions where the class has
+    them and the nullity otherwise.
     Direction spaces are cached per active set.  measure_batch groups its
     points by active set, so each distinct set is looked up once, and runs
     every point's own +-eps probe through max_batch, PROBE_CHUNK probe
@@ -688,43 +692,34 @@ class _DimContext:
         self.system = system
         self.fs = _FloatSystem.from_system(system)
         self.classes = classes
+        self.mismatched = {
+            j for j, (q, cls) in enumerate(zip(system.constraints, classes))
+            if constant_directions((q,), system.dim).dim
+            != (cls.nullity if cls.face_directions is None else cls.face_directions.dim)
+        }
         self._spaces: dict[tuple[int, ...], tuple[Subspace, np.ndarray]] = {}
 
     def direction_space(self, active: tuple[int, ...]) -> tuple[Subspace, np.ndarray]:
-        """Face direction space for an active set, checked two ways, with
-        its basis as unit float rows."""
+        """Directions along which every constraint of an active set is
+        constant, with the basis as unit float rows; ProbeMismatch when the
+        set holds a constraint that failed its check."""
         if active in self._spaces:
             return self._spaces[active]
-        n = self.system.dim
-        spaces = []
-        stacked = []
-        for j in active:
-            cls = self.classes[j]
-            q = self.system.constraints[j]
-            if cls.kind is _KIND.FULL_SPACE:
-                continue
-            if cls.kind is _KIND.EMPTY:
-                raise InfeasibleSystem("active constraint admits no solution")
-            rows = tuple(q.nonzeros.values())
-            if cls.kind in (_KIND.AFFINE_SUBSPACE, _KIND.SINGLETON):
-                spaces.append(null_space_basis(rows, n))
-            else:
-                spaces.append(cls.face_directions)
-            stacked.extend(rows)
-            stacked.append(q.a)
-        direct = intersect_subspaces(spaces, ambient_dim=n)
-        recheck = null_space_basis(tuple(stacked), n)
-        if recheck.dim != direct.dim:
+        if any(self.classes[j].kind is _KIND.EMPTY for j in active):
+            raise InfeasibleSystem("active constraint admits no solution")
+        if bad := sorted(self.mismatched.intersection(active)):
             raise ProbeMismatch(
-                f"direction-space routes disagree on active set {active}: "
-                f"{direct.dim} vs {recheck.dim}"
+                f"constraint(s) {bad} of active set {active} have constant "
+                "directions that disagree with their classification"
             )
+        n = self.system.dim
+        space = constant_directions([self.system.constraints[j] for j in active], n)
         basis = np.array(
-            [[float(e) for e in b] for b in direct.basis], dtype=float
-        ).reshape(direct.dim, n)
+            [[float(e) for e in b] for b in space.basis], dtype=float
+        ).reshape(space.dim, n)
         basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-        self._spaces[active] = direct, basis
-        return direct, basis
+        self._spaces[active] = space, basis
+        return space, basis
 
     def measure_batch(
         self, pts: np.ndarray, fvals: np.ndarray
@@ -734,9 +729,10 @@ class _DimContext:
         Returns (active, dims): active[i] is the boolean row
         fvals[i] >= -TOL_ACTIVE, and dims[i] the dimension of the minimal
         face at pts[i], or -1 where the active set fails cross-validation
-        (its two direction-space routes disagree, or a claimed face
-        direction exits the set at the +-eps probe from pts[i]).  Raises
-        ValueError when a point is infeasible beyond tolerance.
+        (it holds a constraint that failed the check against its class, or
+        a claimed face direction exits the set at the +-eps probe from
+        pts[i]).  Raises ValueError when a point is infeasible beyond
+        tolerance.
         """
         if fvals.size and float(fvals.max()) > TOL_ACTIVE:
             raise ValueError("point is not feasible within tolerance")
@@ -778,12 +774,13 @@ def _dim_context(system: QuadraticSystem) -> _DimContext:
 def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
     """Dimension of the minimal face containing x, with cross-validation.
 
-    Computed as the dimension of the intersection of the active constraints'
-    face direction spaces; validated against a second exact route and a
-    floating +-eps feasibility probe.  Raises ProbeMismatch on disagreement
-    and ValueError when x is infeasible beyond tolerance.  The
-    classification and float copy of the system are built on the first call
-    and reused by later calls on the same system.
+    Computed as the dimension of the directions along which every active
+    constraint is constant; validated by each active constraint's check
+    against its classification and a floating +-eps feasibility probe.
+    Raises ProbeMismatch on disagreement and ValueError when x is infeasible
+    beyond tolerance.  The classification, its per-constraint check and the
+    float copy of the system are built on the first call and reused by
+    later calls on the same system.
     """
     ctx = _dim_context(system)
     pt = np.array([float(e) for e in x], dtype=float)
@@ -792,9 +789,10 @@ def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
     _, dims = ctx.measure_batch(pt[None, :], ctx.fs.eval_point(pt)[None, :])
     if dims[0] < 0:
         raise ProbeMismatch(
-            "the active set at this point fails cross-validation: its "
-            "direction-space routes disagree or a claimed face direction "
-            "exits the set at the probe step"
+            "the active set at this point fails cross-validation: it holds "
+            "a constraint whose constant directions disagree with its "
+            "classification, or a claimed face direction exits the set at "
+            "the probe step"
         )
     return int(dims[0])
 
@@ -938,11 +936,7 @@ def _lineality_warning(blk: Block) -> list[str]:
     a line, naming the block by the caller's coordinates."""
     if len(blk.system.constraints) < 2:
         return []
-    stacked = []
-    for q in blk.system.constraints:
-        stacked.extend(q.nonzeros.values())
-        stacked.append(q.a)
-    lin = null_space_basis(tuple(stacked), blk.system.dim)
+    lin = constant_directions(blk.system.constraints, blk.system.dim)
     if not lin.dim:
         return []
     return [

@@ -2,7 +2,9 @@
 
 Expected signatures come from how each system is built (template theory,
 the seven classes of a single quadratic, sumsets for direct sums), and every
-witness is re-read with minimal_face_dim_at.
+witness is re-read with minimal_face_dim_at.  The probe path is
+cross-checked against the exact path on the same systems, beyond its own
+acceptance range.
 """
 
 import os
@@ -15,7 +17,7 @@ import facetforge
 from facetforge.constructor import realize
 from facetforge.quadratics import ConvexQuadratic, QuadraticSystem, direct_sum
 from facetforge.signatures import Signature, minkowski_sum
-from facetforge.verifier import exact_signature, minimal_face_dim_at
+from facetforge.verifier import exact_signature, minimal_face_dim_at, probe_signature
 
 
 def test_witness_check_survives_optimized_python():
@@ -70,7 +72,8 @@ def _class_quadratic(rng, kind, k):
     return ConvexQuadratic(A=form(r), a=b[k - 1], alpha=0), Signature.of(k - r - 1, k)
 
 
-def test_exact_path_cross_checked_up_to_n_16():
+def _cases_up_to_n_16():
+    """Seeded systems of dimension at most 16 with their signatures."""
     rng = random.Random(1616)
     cases = []
     for n in (12, 14, 16):
@@ -84,15 +87,11 @@ def test_exact_path_cross_checked_up_to_n_16():
         q, q_sig = _class_quadratic(rng, kind, k)
         system = direct_sum(realize(sig).system, QuadraticSystem(dim=k, constraints=(q,)))
         cases.append((system, minkowski_sum(sig, q_sig)))
-    for system, expected in cases:
-        assert system.dim <= 16
-        report = exact_signature(system)
-        assert report.signature == expected
-        for d, w in report.witnesses.items():
-            assert minimal_face_dim_at(system, w) == d
+    return cases
 
 
-def test_exact_path_cross_checked_up_to_n_32():
+def _cases_up_to_n_32():
+    """Seeded systems of dimension at most 32 with their signatures."""
     rng = random.Random(3232)
     cases = []
     for n in (20, 24, 32):
@@ -107,9 +106,41 @@ def test_exact_path_cross_checked_up_to_n_32():
         q, q_sig = _class_quadratic(rng, kind, k)
         system = direct_sum(realize(sig).system, QuadraticSystem(dim=k, constraints=(q,)))
         cases.append((system, minkowski_sum(sig, q_sig)))
-    for system, expected in cases:
+    return cases
+
+
+def test_exact_path_cross_checked_up_to_n_16():
+    for system, expected in _cases_up_to_n_16():
+        assert system.dim <= 16
+        report = exact_signature(system)
+        assert report.signature == expected
+        for d, w in report.witnesses.items():
+            assert minimal_face_dim_at(system, w) == d
+
+
+def test_exact_path_cross_checked_up_to_n_32():
+    for system, expected in _cases_up_to_n_32():
         assert system.dim <= 32
         report = exact_signature(system)
         assert report.signature == expected
         for d, w in report.witnesses.items():
             assert minimal_face_dim_at(system, w) == d
+
+
+def _check_probe_against_exact(cases):
+    """The probe, past its acceptance range, gives the exact signature with
+    no warning, and each of its witnesses reads back its own dimension."""
+    for system, expected in cases:
+        report = probe_signature(system, 2000, 7)
+        assert report.signature == exact_signature(system).signature == expected
+        assert report.warnings == ()
+        for d, w in report.witnesses.items():
+            assert minimal_face_dim_at(system, w) == d
+
+
+def test_probe_path_cross_checked_up_to_n_16():
+    _check_probe_against_exact(_cases_up_to_n_16())
+
+
+def test_probe_path_cross_checked_up_to_n_32():
+    _check_probe_against_exact(_cases_up_to_n_32())

@@ -10,7 +10,12 @@ facetforge.cli.main, each tree in its own process and work directory, with
 BLAS on one thread and a fixed hash seed.  Per job, the exit code, stdout,
 stderr and every file the job wrote (construct's .plan.json included) are
 compared, with the work directory masked.  Prints one line per stream and
-exits 1 when some job differs, naming the first such job of each stream.
+one more per differing job, and exits 1 when any job differs.
+
+A differing verify job is a real difference when its exit code, stderr,
+signature, method, confidence, warnings or witness dimensions differ; when
+only witness coordinates differ, the line gives their count and the largest
+absolute difference.  The last line sums both kinds over all streams.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,21 +81,53 @@ def run_stream(src: str, workload: str, seed: int, rounds: int, out: str):
             written = {name: _digest(mask((work / name).read_text()))
                        for name, stamp in after.items() if before.get(name) != stamp}
             before = after
-            records.append({"argv": mask(" ".join(job.argv)), "code": code,
-                            "stdout": _digest(mask(stdout.getvalue())),
-                            "stderr": _digest(mask(stderr.getvalue())), "files": written})
+            record = {"argv": mask(" ".join(job.argv)), "code": code,
+                      "stdout": _digest(mask(stdout.getvalue())),
+                      "stderr": _digest(mask(stderr.getvalue())), "files": written}
+            if job.argv[0] == "verify":
+                with contextlib.suppress(ValueError):
+                    record["report"] = json.loads(stdout.getvalue())
+            records.append(record)
     Path(out).write_text(json.dumps(records))
 
 
-def compare(parent: list[dict], change: list[dict]) -> str | None:
-    """The first differing job, described, or None when all agree."""
+def _witness_gap(p: dict, c: dict) -> tuple[int, float] | None:
+    """(differing coordinates, largest absolute difference) when two
+    verify reports differ in witness coordinates only, else None."""
+    rp, rc = p.get("report"), c.get("report")
+    if not isinstance(rp, dict) or not isinstance(rc, dict) or "witnesses" not in rp:
+        return None
+    if any(p[key] != c[key] for key in ("code", "stderr", "files")):
+        return None
+    if {k: v for k, v in rp.items() if k != "witnesses"} != \
+            {k: v for k, v in rc.items() if k != "witnesses"}:
+        return None
+    wp, wc = rp["witnesses"], rc.get("witnesses", {})
+    if wp.keys() != wc.keys() or any(len(wp[d]) != len(wc[d]) for d in wp):
+        return None
+    gaps = [abs(float(Fraction(x)) - float(Fraction(y)))
+            for d in wp for x, y in zip(wp[d], wc[d]) if x != y]
+    return len(gaps), max(gaps, default=0.0)
+
+
+def compare(parent: list[dict], change: list[dict]) -> tuple[list[str], list[tuple[int, float]]]:
+    """One line per differing job, real differences and witness-only
+    differences alike, and the (count, largest) of each witness-only one."""
     if len(parent) != len(change):
-        return f"job counts differ: {len(parent)} vs {len(change)}"
+        return [f"job counts differ: {len(parent)} vs {len(change)}"], []
+    lines, gaps = [], []
     for k, (p, c) in enumerate(zip(parent, change)):
         parts = [key for key in ("code", "stdout", "stderr", "files") if p[key] != c[key]]
-        if parts:
-            return f"job {k} ({p['argv']}): {', '.join(parts)} differ"
-    return None
+        if not parts:
+            continue
+        gap = _witness_gap(p, c)
+        if gap is None:
+            lines.append(f"job {k} ({p['argv']}): {', '.join(parts)} differ")
+        else:
+            gaps.append(gap)
+            lines.append(f"job {k} ({p['argv']}): witnesses only, {gap[0]} "
+                         f"coordinate(s), largest difference {gap[1]:.3g}")
+    return lines, gaps
 
 
 def main(argv=None) -> int:
@@ -107,7 +145,8 @@ def main(argv=None) -> int:
     rounds = {name: int(count) for name, count in
               (pair.split("=") for pair in args.rounds.split(","))}
     env = {**os.environ, **CHILD_ENV}
-    same = True
+    real = witness_only = 0
+    largest = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload, count in rounds.items():
@@ -122,11 +161,17 @@ def main(argv=None) -> int:
                     print(f"seed {seed} {workload}: a child process failed")
                     return 2
                 parent, change = (json.loads(Path(o).read_text()) for o in outs)
-                diff = compare(parent, change)
-                same = same and diff is None
-                print(f"seed {seed} {workload}: "
-                      f"{diff or f'{len(parent)} jobs identical'}", flush=True)
-    return 0 if same else 1
+                lines, gaps = compare(parent, change)
+                real += len(lines) - len(gaps)
+                witness_only += len(gaps)
+                largest = max([largest] + [g for _, g in gaps])
+                print(f"seed {seed} {workload}: {len(parent)} jobs, "
+                      f"{len(lines)} differ", flush=True)
+                for line in lines:
+                    print(f"  {line}", flush=True)
+    print(f"real differences: {real}; witness-only differences: {witness_only}, "
+          f"largest {largest:.3g}")
+    return 0 if real + witness_only == 0 else 1
 
 
 if __name__ == "__main__":

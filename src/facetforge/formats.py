@@ -230,8 +230,8 @@ def export_socp(s: QuadraticSystem) -> SocpForm:
     """
     cones = []
     fs = _FloatSystem.from_system(s)
-    for A, a, alpha in zip(fs.A, fs.a, fs.alpha):
-        w, V = np.linalg.eigh(A)
+    for k, (a, alpha) in enumerate(zip(fs.a, fs.alpha)):
+        w, V = np.linalg.eigh(fs.matrix(k))
         keep = w > EIGENVALUE_CLIP
         L = (np.sqrt(w[keep])[:, None] * V[:, keep].T) if keep.any() else np.zeros(
             (0, s.dim)

@@ -25,8 +25,13 @@ checked once against its exact classification, and every claimed face
 direction is probed at +-eps in floating point; disagreement surfaces as
 ProbeMismatch instead of being resolved silently.
 
-Ray exits are closed-form quadratic roots, pulled back until the hit point
-evaluates feasible.  Tolerances: activity 1e-8, face probe step 1e-6,
+The probe path works on a float copy of the system that holds each
+constraint's matrix as its nonzero triples (constraint, row, column,
+value), so evaluating a point costs the nonzero entries, not m n^2, and
+each constraint's terms are summed in one fixed order.  Hits are grouped by
+active set through each row's bits packed into 64-bit words.  Ray exits are
+closed-form quadratic roots, pulled back until the hit point evaluates
+feasible.  Tolerances: activity 1e-8, face probe step 1e-6,
 Newton residual 1e-12.  The separation between activity detection and the
 probe step keeps quadratic curvature from masquerading as flatness.
 """
@@ -485,45 +490,123 @@ def exact_signature(system: QuadraticSystem) -> VerificationReport:
 
 
 class _FloatSystem:
-    """Float copy of a system: f_j(x) = x^T A_j x + 2 a_j^T x + alpha_j."""
+    """Float copy of a system: f_j(x) = x^T A_j x + 2 a_j^T x + alpha_j.
 
-    def __init__(self, A: np.ndarray, a: np.ndarray, alpha: np.ndarray):
-        self.A, self.a, self.alpha = A, a, alpha
-        self.m, self.n = a.shape
+    The matrices are held as their nonzero entries, the triples
+    A_K[I, J] = V, which come sorted by constraint, then row, then column;
+    constraint j's entries are bounds[j]:bounds[j + 1].  A quadratic form
+    sums the terms (x_I V) x_J of each constraint one by one in that order,
+    from 0.0, and A_j x sums each row's terms the same way (np.bincount),
+    so neither depends on the batch a point comes in.  For the forms, the
+    entries are also kept in jagged order: constraints by decreasing entry
+    count, and the t-th entries of all constraints with more than t entries
+    in one run, so the t-th addition is one slice over a prefix of the
+    constraints.  Batches go PROBE_CHUNK rows at a time, so no temporary
+    holds more than PROBE_CHUNK x nnz entries.
+    """
+
+    def __init__(self, n: int, K, I, J, V, a: np.ndarray, alpha: np.ndarray):
+        self.K, self.I, self.J = (np.asarray(x, dtype=np.intp) for x in (K, I, J))
+        self.V = np.asarray(V, dtype=float)
+        self.a, self.alpha = a, alpha
+        self.m, self.n = len(alpha), n
+        self.bounds = np.searchsorted(self.K, np.arange(self.m + 1))
+        self._cells = self.K * n + self.I
+        count = np.diff(self.bounds)
+        self._rank = np.empty(self.m, dtype=np.intp)
+        self._rank[np.argsort(-count, kind="stable")] = np.arange(self.m)
+        position = np.arange(len(self.K)) - self.bounds[self.K]
+        jagged = np.lexsort((self._rank[self.K], position))
+        self._jI, self._jJ = self.I[jagged], self.J[jagged]
+        self._jV = self.V[jagged, None]
+        self._runs = np.bincount(position).tolist()
 
     @classmethod
     def from_system(cls, system: QuadraticSystem) -> "_FloatSystem":
-        n, m = system.dim, len(system.constraints)
-        A = np.zeros((m, n, n))
-        a = np.zeros((m, n))
-        alpha = np.zeros(m)
+        K, I, J, V = [], [], [], []
         for k, q in enumerate(system.constraints):
             for i, row in q.nonzeros.items():
-                A[k, i, list(row)] = [float(e) for e in row.values()]
-            a[k] = [float(e) for e in q.a]
-            alpha[k] = float(q.alpha)
-        return cls(A, a, alpha)
+                K.extend([k] * len(row))
+                I.extend([i] * len(row))
+                J.extend(row)
+                V.extend(float(e) for e in row.values())
+        a = np.array([[float(e) for e in q.a] for q in system.constraints], dtype=float)
+        alpha = np.array([float(q.alpha) for q in system.constraints], dtype=float)
+        return cls(system.dim, K, I, J, V, a.reshape(len(alpha), system.dim), alpha)
+
+    def matrix(self, k: int) -> np.ndarray:
+        """A_k as a dense n x n array."""
+        A = np.zeros((self.n, self.n))
+        own = slice(self.bounds[k], self.bounds[k + 1])
+        A[self.I[own], self.J[own]] = self.V[own]
+        return A
+
+    def _sum_jagged(self, terms: np.ndarray) -> np.ndarray:
+        """Per-constraint sums of terms given in jagged entry order, one
+        row per entry: m x terms.shape[1]."""
+        acc = np.zeros((self.m, terms.shape[1]))
+        start = 0
+        for run in self._runs:
+            acc[:run] += terms[start : start + run]
+            start += run
+        return acc[self._rank]
+
+    def quad_forms(self, pts: np.ndarray) -> np.ndarray:
+        """x^T A_j x for every row x of pts and every constraint j."""
+        out = np.empty((len(pts), self.m))
+        for start in range(0, len(pts), PROBE_CHUNK):
+            p = np.ascontiguousarray(pts[start : start + PROBE_CHUNK].T)
+            terms = p[self._jI]
+            terms *= self._jV
+            terms *= p[self._jJ]
+            out[start : start + PROBE_CHUNK] = self._sum_jagged(terms).T
+        return out
+
+    def products(self, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """A_j x for x = xs[l] and j = rows[l, r]: len(xs) x rows.shape[1] x n.
+
+        Each row l gathers only the entries of its own constraints.
+        """
+        L, k = rows.shape
+        own = rows.reshape(-1)
+        count = self.bounds[own + 1] - self.bounds[own]
+        # entry: the runs bounds[c]:bounds[c + 1] of the constraints in own,
+        # one after another; pair: the (l, r) each entry belongs to
+        pair = np.repeat(np.arange(L * k), count)
+        shift = self.bounds[own] - (np.cumsum(count) - count)
+        entry = np.arange(len(pair)) + np.repeat(shift, count)
+        weights = self.V[entry] * xs[pair // k, self.J[entry]]
+        sums = np.bincount(pair * self.n + self.I[entry], weights, minlength=L * k * self.n)
+        return sums.reshape(L, k, self.n)
+
+    def half_gradients(self, x: np.ndarray) -> np.ndarray:
+        """A_j x + a_j for every constraint j: m x n."""
+        ax = np.bincount(self._cells, self.V * x[self.J], minlength=self.m * self.n)
+        return ax.reshape(self.m, self.n) + self.a
+
+    def gradients(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self.half_gradients(x)
 
     def restrict(self, base: np.ndarray, U: np.ndarray) -> "_FloatSystem":
         """The system on the affine space base + U^T p, in coordinates p."""
+        k = len(U)
+        terms = (U.T[self._jI] * self._jV)[:, :, None] * U.T[self._jJ][:, None, :]
+        image = self._sum_jagged(terms.reshape(-1, k * k)).reshape(self.m, k, k)
+        K, P, Q = np.nonzero(image)
         return _FloatSystem(
-            np.einsum("ki,mij,lj->mkl", U, self.A, U),
-            (self.A @ base + self.a) @ U.T,
+            k, K, P, Q, image[K, P, Q],
+            self.half_gradients(base) @ U.T,
             self.eval_point(base),
         )
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
-        quad = np.einsum("ni,mij,nj->nm", pts, self.A, pts)
-        return quad + 2.0 * pts @ self.a.T + self.alpha
+        return self.quad_forms(pts) + 2.0 * pts @ self.a.T + self.alpha
 
     def max_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.eval_batch(pts).max(axis=1, initial=-np.inf)
 
     def eval_point(self, x: np.ndarray) -> np.ndarray:
         return self.eval_batch(x[None, :])[0]
-
-    def gradients(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.A @ x + self.a)
 
     def ray_exit(self, x0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Smallest t > 0 per ray at which max_j f_j(x0 + t d) reaches 0.
@@ -534,8 +617,8 @@ class _FloatSystem:
         steps doubling from 2^-52 until max_j f_j <= 0; past 2^-BACKOFF_FLOOR
         they get inf too.
         """
-        qa = np.einsum("ri,mij,rj->rm", dirs, self.A, dirs)
-        qb = dirs @ (self.A @ x0 + self.a).T
+        qa = self.quad_forms(dirs)
+        qb = dirs @ self.half_gradients(x0).T
         qc = self.eval_point(x0)
         root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -581,21 +664,19 @@ def _float_interior(fs: _FloatSystem) -> np.ndarray:
     # point: boundary hits from a very deep start lose value precision.
     candidates = [np.zeros(fs.n)]
     for k in range(fs.m):
-        sol, *_ = np.linalg.lstsq(fs.A[k], -fs.a[k], rcond=None)
+        sol, *_ = np.linalg.lstsq(fs.matrix(k), -fs.a[k], rcond=None)
         if np.isfinite(sol).all():
             candidates.append(sol)
     if len(candidates) > 2:
         candidates.append(np.mean(candidates[1:], axis=0))
 
-    def depth_key(c: np.ndarray) -> float:
-        val = float(fs.eval_point(c).max())
-        return abs(math.log10(-val) - 0.0) if val < 0 else math.inf
-
-    feasible = [c for c in candidates if float(fs.eval_point(c).max()) < 0]
+    worst = [float(fs.eval_point(c).max()) for c in candidates]
+    feasible = [k for k, val in enumerate(worst) if val < 0]
     if feasible:
-        return min(feasible, key=depth_key)
-    x = min(candidates, key=lambda c: float(fs.eval_point(c).max()))
-    best_x, best_val = x.copy(), float(fs.eval_point(x).max())
+        return candidates[min(feasible, key=lambda k: abs(math.log10(-worst[k])))]
+    k = min(range(len(candidates)), key=worst.__getitem__)
+    x = candidates[k]
+    best_x, best_val = x.copy(), worst[k]
     for it in range(5000):
         vals = fs.eval_point(x)
         j = int(vals.argmax())
@@ -623,7 +704,9 @@ def _float_interior(fs: _FloatSystem) -> np.ndarray:
         slack = -vals
         grads = fs.gradients(x)
         grad = (grads / slack[:, None]).sum(axis=0)
-        hess = np.einsum("m,mij->ij", 2.0 / slack, fs.A)
+        hess = np.bincount(
+            fs.I * fs.n + fs.J, fs.V * (2.0 / slack)[fs.K], minlength=fs.n * fs.n
+        ).reshape(fs.n, fs.n)
         hess += np.einsum("mi,mj->ij", grads / slack[:, None], grads / slack[:, None])
         try:
             step = np.linalg.solve(hess + 1e-12 * np.eye(fs.n), -grad)
@@ -683,9 +766,9 @@ class _DimContext:
     dimension its class claims, that of face_directions where the class has
     them and the nullity otherwise.
     Direction spaces are cached per active set.  measure_batch groups its
-    points by active set, so each distinct set is looked up once, and runs
-    every point's own +-eps probe through max_batch, PROBE_CHUNK probe
-    points at a time.
+    points by active set (_group_rows), so each distinct set is looked up
+    once, and runs every point's own +-eps probe through max_batch,
+    PROBE_CHUNK probe points at a time.
     """
 
     def __init__(self, system: QuadraticSystem, classes: list[QuadraticClass]):
@@ -738,12 +821,10 @@ class _DimContext:
             raise ValueError("point is not feasible within tolerance")
         active = fvals >= -TOL_ACTIVE
         dims = np.full(len(pts), self.system.dim)
-        rows, group = np.unique(active, axis=0, return_inverse=True)
-        group = group.reshape(-1)
-        for g, row in enumerate(rows):
+        rows, groups = _group_rows(active)
+        for row, members in zip(rows, groups):
             if not row.any():
                 continue
-            members = np.flatnonzero(group == g)
             try:
                 space, basis = self.direction_space(tuple(np.flatnonzero(row).tolist()))
             except ProbeMismatch:
@@ -760,6 +841,26 @@ class _DimContext:
                 worst = self.fs.max_batch(probes).reshape(len(chunk), -1).max(axis=1)
                 dims[chunk[worst > TOL_ACTIVE]] = -1
         return active, dims
+
+
+def _group_rows(active: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct rows of a boolean matrix and the indices of each one's
+    members, in the order of np.unique(active, axis=0).
+
+    Each row is packed into big-endian 64-bit words, column 0 in the top
+    bit of the first word, so the word tuples sort as the rows do; one
+    lexsort orders them for every column count.
+    """
+    if not len(active):
+        return active, []
+    packed = np.packbits(active, axis=1)
+    words = np.zeros((len(active), -(-packed.shape[1] // 8) * 8 or 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    keys = words.view(">u8")
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    return active[order[starts]], np.split(order, starts[1:])
 
 
 def _dim_context(system: QuadraticSystem) -> _DimContext:
@@ -903,7 +1004,8 @@ def _gauss_newton_batch(
 
     rows is a K x k integer array and starts is K x n.  Each step is the
     minimum-norm least-squares step, through an SVD pseudo-inverse with
-    the lstsq cutoff max(k, n) * eps.  A candidate converges once every
+    the lstsq cutoff max(k, n) * eps; each candidate's Jacobian gathers
+    only its own constraints' entries.  A candidate converges once every
     |f_j| <= NEWTON_TOL; it fails when x turns non-finite or its norm passes
     1e12, or when NEWTON_MAX_ITER steps do not converge.  Returns one row
     per candidate: its solution, or NaN where it failed.
@@ -916,10 +1018,7 @@ def _gauss_newton_batch(
         if not len(live):
             break
         xl, r = x[live], rows[live]
-        # A_j x for every constraint, then the candidate's own rows: a
-        # gather of fs.A[r] would hold K * k copies of an n x n matrix.
-        ax = np.tensordot(xl, fs.A, axes=(1, 2))[np.arange(len(live))[:, None], r]
-        half_grad = ax + fs.a[r]
+        half_grad = fs.products(xl, r) + fs.a[r]
         f = np.einsum("kri,ki->kr", half_grad + fs.a[r], xl) + fs.alpha[r]
         done = np.abs(f).max(axis=1) <= NEWTON_TOL
         out[live[done]] = xl[done]
@@ -987,9 +1086,7 @@ def _read_hits(ctx: _DimContext, log: _FaceLog, pts: np.ndarray, vals: np.ndarra
     hit = active.any(axis=1)
     log.skipped += int(np.count_nonzero(hit & (dims < 0)))
     good = np.flatnonzero(hit & (dims >= 0))
-    # With return_index, np.unique sorts; its hash path costs about 1.5 MB
-    # of resident memory on first use.
-    for row in np.unique(active[good], axis=0, return_index=True)[0]:
+    for row in _group_rows(active[good])[0]:
         log.add(frozenset(np.flatnonzero(row).tolist()))
     found, at = np.unique(dims[good], return_index=True)
     for k in np.argsort(at):

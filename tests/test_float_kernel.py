@@ -1,0 +1,336 @@
+"""The float kernel over nonzero triples against the dense tensor it replaced.
+
+verifier._FloatSystem holds each constraint's matrix as its nonzero
+entries and sums each constraint's terms in one fixed order.  The dense
+m x n x n _FloatSystem and the _gauss_newton_batch that took a tensordot
+over it are kept here verbatim as references (renamed
+DenseFloatSystem and dense_gauss_newton_batch).  Under derandomized
+hypothesis both run on the same systems: PSD Gram matrices with zero rows,
+halfspaces and constant constraints, which have no nonzero entries,
+templates with permuted coordinates, and direct sums of a template with
+such a system.  The two sum in different orders, so values agree to
+rounding, not bit for bit.  _group_rows is compared with the
+np.unique(active, axis=0) grouping it replaced.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from facetforge.constructor import realize
+from facetforge.quadratics import ConvexQuadratic, QuadraticSystem, direct_sum
+from facetforge.signatures import Signature
+from facetforge.verifier import (
+    BACKOFF_FLOOR,
+    GROWTH_LIMIT,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    _FloatSystem,
+    _gauss_newton_batch,
+    _group_rows,
+    _sampled_directions,
+)
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+class DenseFloatSystem:
+    """Float copy of a system: f_j(x) = x^T A_j x + 2 a_j^T x + alpha_j."""
+
+    def __init__(self, A: np.ndarray, a: np.ndarray, alpha: np.ndarray):
+        self.A, self.a, self.alpha = A, a, alpha
+        self.m, self.n = a.shape
+
+    @classmethod
+    def from_system(cls, system: QuadraticSystem) -> "DenseFloatSystem":
+        n, m = system.dim, len(system.constraints)
+        A = np.zeros((m, n, n))
+        a = np.zeros((m, n))
+        alpha = np.zeros(m)
+        for k, q in enumerate(system.constraints):
+            for i, row in q.nonzeros.items():
+                A[k, i, list(row)] = [float(e) for e in row.values()]
+            a[k] = [float(e) for e in q.a]
+            alpha[k] = float(q.alpha)
+        return cls(A, a, alpha)
+
+    def restrict(self, base: np.ndarray, U: np.ndarray) -> "DenseFloatSystem":
+        """The system on the affine space base + U^T p, in coordinates p."""
+        return DenseFloatSystem(
+            np.einsum("ki,mij,lj->mkl", U, self.A, U),
+            (self.A @ base + self.a) @ U.T,
+            self.eval_point(base),
+        )
+
+    def eval_batch(self, pts: np.ndarray) -> np.ndarray:
+        quad = np.einsum("ni,mij,nj->nm", pts, self.A, pts)
+        return quad + 2.0 * pts @ self.a.T + self.alpha
+
+    def max_batch(self, pts: np.ndarray) -> np.ndarray:
+        return self.eval_batch(pts).max(axis=1, initial=-np.inf)
+
+    def eval_point(self, x: np.ndarray) -> np.ndarray:
+        return self.eval_batch(x[None, :])[0]
+
+    def gradients(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.A @ x + self.a)
+
+    def ray_exit(self, x0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Smallest t > 0 per ray at which max_j f_j(x0 + t d) reaches 0.
+
+        Along a ray f_j is qa t^2 + 2 qb t + qc; its exit is the larger root
+        in cancellation-free form.  Recession rays (exit >= GROWTH_LIMIT) get
+        inf.  Hits that still evaluate infeasible are pulled back by relative
+        steps doubling from 2^-52 until max_j f_j <= 0; past 2^-BACKOFF_FLOOR
+        they get inf too.
+        """
+        qa = np.einsum("ri,mij,rj->rm", dirs, self.A, dirs)
+        qb = dirs @ (self.A @ x0 + self.a).T
+        qc = self.eval_point(x0)
+        root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(qb > 0, -qc / (qb + root), (root - qb) / qa)
+        t = np.fmin.reduce(t, axis=1, initial=np.inf)
+        t[t >= GROWTH_LIMIT] = np.inf
+        pending = np.flatnonzero(np.isfinite(t))
+        for shift_bits in range(52, BACKOFF_FLOOR, -1):
+            pts = x0 + t[pending, None] * dirs[pending]
+            pending = pending[self.max_batch(pts) > 0.0]
+            if not len(pending):
+                break
+            t[pending] *= 1.0 - 2.0 ** -shift_bits
+        t[pending] = np.inf
+        return t
+
+
+def dense_gauss_newton_batch(
+    fs: DenseFloatSystem, rows: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Gauss-Newton toward f_j(x) = 0 for all j in rows[i], from starts[i],
+    for every candidate i in one batch.
+
+    rows is a K x k integer array and starts is K x n.  Each step is the
+    minimum-norm least-squares step, through an SVD pseudo-inverse with
+    the lstsq cutoff max(k, n) * eps.  A candidate converges once every
+    |f_j| <= NEWTON_TOL; it fails when x turns non-finite or its norm passes
+    1e12, or when NEWTON_MAX_ITER steps do not converge.  Returns one row
+    per candidate: its solution, or NaN where it failed.
+    """
+    x = np.array(starts, dtype=float)
+    out = np.full_like(x, np.nan)
+    live = np.arange(len(x))
+    rcond = max(rows.shape[1], fs.n) * np.finfo(float).eps
+    for _ in range(NEWTON_MAX_ITER):
+        if not len(live):
+            break
+        xl, r = x[live], rows[live]
+        # A_j x for every constraint, then the candidate's own rows: a
+        # gather of fs.A[r] would hold K * k copies of an n x n matrix.
+        ax = np.tensordot(xl, fs.A, axes=(1, 2))[np.arange(len(live))[:, None], r]
+        half_grad = ax + fs.a[r]
+        f = np.einsum("kri,ki->kr", half_grad + fs.a[r], xl) + fs.alpha[r]
+        done = np.abs(f).max(axis=1) <= NEWTON_TOL
+        out[live[done]] = xl[done]
+        step = np.linalg.pinv(2.0 * half_grad[~done], rcond=rcond) @ f[~done, :, None]
+        live, xl = live[~done], xl[~done] - step[:, :, 0]
+        ok = np.linalg.norm(xl, axis=1) <= 1e12  # False on non-finite rows
+        live = live[ok]
+        x[live] = xl[ok]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Seeded systems; the origin is strictly inside each of them
+
+
+def _gram(b, n):
+    return [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def constraints(draw, n):
+    """One constraint on R^n with f(0) < 0: a PSD Gram matrix with zero
+    rows, a halfspace or a constant (the last two have no nonzero entry)."""
+    alpha = -draw(st.integers(1, 30)) / draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["gram", "gram", "halfspace", "constant"]))
+    a = [0] * n
+    rows = [[0] * n for _ in range(n)]
+    if kind != "constant":
+        a = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    if kind == "halfspace" and not any(a):
+        a[draw(st.integers(0, n - 1))] = 1
+    if kind == "gram":
+        b = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+             for _ in range(draw(st.integers(0, n + 1)))]
+        for row in b:
+            for k in draw(st.sets(st.integers(0, n - 1))):
+                row[k] = 0
+        rows = _gram(b, n)
+    return ConvexQuadratic(A=rows, a=a, alpha=alpha)
+
+
+@st.composite
+def free_systems(draw, max_dim=6):
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, 5))
+    return QuadraticSystem(dim=n, constraints=[draw(constraints(n)) for _ in range(m)])
+
+
+@st.composite
+def templates(draw):
+    """realize() of a random signature, coordinates permuted."""
+    top = draw(st.integers(1, 7))
+    sig = Signature(tuple(sorted({0, top} | draw(st.sets(st.integers(0, top))))))
+    system = realize(sig).system
+    perm = draw(st.permutations(range(system.dim)))
+    return QuadraticSystem(dim=system.dim, constraints=[
+        ConvexQuadratic(
+            A={perm[i]: {perm[j]: e for j, e in row.items()} for i, row in q.nonzeros.items()},
+            a=[q.a[perm.index(i)] for i in range(system.dim)],
+            alpha=q.alpha,
+        )
+        for q in system.constraints
+    ])
+
+
+def systems():
+    return st.one_of(
+        free_systems(),
+        templates(),
+        st.builds(direct_sum, templates(), free_systems(max_dim=4)),
+    )
+
+
+def _pair(system):
+    return _FloatSystem.from_system(system), DenseFloatSystem.from_system(system)
+
+
+def _close(actual, expected, scale=1.0):
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# Kernels
+
+
+@SETTINGS
+@given(systems(), st.integers(0, 2**16))
+def test_evaluation_matches_dense_reference(system, seed):
+    fs, ref = _pair(system)
+    pts = np.random.default_rng(seed).uniform(-3, 3, (40, system.dim))
+    pts[::3, ::2] = 0.0
+    scale = 1.0 + np.abs(ref.A).max(initial=0) * 9 * system.dim**2
+    _close(fs.eval_batch(pts), ref.eval_batch(pts), scale)
+    _close(fs.max_batch(pts), ref.max_batch(pts), scale)
+    _close(fs.eval_point(pts[1]), ref.eval_point(pts[1]), scale)
+    _close(fs.gradients(pts[1]), ref.gradients(pts[1]), scale)
+    for k in range(fs.m):
+        np.testing.assert_array_equal(fs.matrix(k), ref.A[k])
+    # each constraint's entries are summed in one order, so a row's forms
+    # are the same alone as in its batch
+    np.testing.assert_array_equal(fs.quad_forms(pts[5:6]), fs.quad_forms(pts)[5:6])
+
+
+@SETTINGS
+@given(systems(), st.integers(0, 2**16))
+def test_ray_exit_matches_dense_reference(system, seed):
+    fs, ref = _pair(system)
+    x0 = np.zeros(system.dim)
+    dirs = _sampled_directions(system.dim, 64, seed)
+    t, t_ref = fs.ray_exit(x0, dirs), ref.ray_exit(x0, dirs)
+    np.testing.assert_array_equal(np.isinf(t), np.isinf(t_ref))
+    finite = np.isfinite(t)
+    np.testing.assert_allclose(t[finite], t_ref[finite], rtol=1e-9)
+    # ray_exit pulls each hit back until it evaluates feasible in its own
+    # batch; the linear term 2 x^T a goes through a BLAS product, which can
+    # round a row differently in another batch
+    assert (fs.max_batch(x0 + t[finite, None] * dirs[finite]) <= 1e-12).all()
+
+
+@SETTINGS
+@given(systems(), st.integers(0, 2**16), st.data())
+def test_restrict_matches_dense_reference(system, seed, data):
+    fs, ref = _pair(system)
+    n = system.dim
+    k = data.draw(st.integers(1, min(n, 3)))
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, k)))[0].T
+    if data.draw(st.booleans()):  # coordinate planes, as slices often are
+        U = np.eye(n)[rng.permutation(n)[:k]]
+    base = rng.uniform(-1, 1, n)
+    plane, plane_ref = fs.restrict(base, U), ref.restrict(base, U)
+    assert (plane.m, plane.n) == (plane_ref.m, plane_ref.n) == (fs.m, k)
+    scale = 1.0 + np.abs(ref.A).max(initial=0) * n * n
+    for j in range(fs.m):
+        _close(plane.matrix(j), plane_ref.A[j], scale)
+    _close(plane.a, plane_ref.a, scale)
+    _close(plane.alpha, plane_ref.alpha, scale)
+    pts = rng.uniform(-2, 2, (20, k))
+    _close(plane.eval_batch(pts), plane_ref.eval_batch(pts), 10 * scale)
+
+
+@SETTINGS
+@given(systems(), st.integers(0, 2**16), st.data())
+def test_gauss_newton_batch_matches_dense_reference(system, seed, data):
+    fs, ref = _pair(system)
+    size = data.draw(st.integers(1, min(fs.m, 3)))
+    rows = np.array(list(itertools.combinations(range(fs.m), size))[:30])
+    starts = np.random.default_rng(seed).standard_normal((len(rows), fs.n))
+    sols = _gauss_newton_batch(fs, rows, starts)
+    sols_ref = dense_gauss_newton_batch(ref, rows, starts)
+    np.testing.assert_array_equal(np.isnan(sols), np.isnan(sols_ref))
+    np.testing.assert_allclose(sols, sols_ref, rtol=0, atol=1e-9)
+    for sol, r in zip(sols, rows):
+        if not np.isnan(sol).any():
+            assert np.abs(fs.eval_point(sol)[r]).max() <= NEWTON_TOL
+
+
+def test_systems_without_entries_or_constraints():
+    halfspaces = QuadraticSystem(dim=3, constraints=[
+        ConvexQuadratic(A=[[0] * 3] * 3, a=[1, 0, -2], alpha=-1),
+        ConvexQuadratic(A=[[0] * 3] * 3, a=[0, 0, 0], alpha=-3),
+    ])
+    fs, ref = _pair(halfspaces)
+    assert len(fs.V) == 0
+    pts = np.random.default_rng(0).standard_normal((7, 3))
+    np.testing.assert_array_equal(fs.eval_batch(pts), ref.eval_batch(pts))
+    np.testing.assert_array_equal(fs.gradients(pts[0]), ref.gradients(pts[0]))
+    dirs = _sampled_directions(3, 16, 1)
+    np.testing.assert_array_equal(fs.ray_exit(np.zeros(3), dirs), ref.ray_exit(np.zeros(3), dirs))
+    plane = fs.restrict(pts[0], np.eye(3)[:2])
+    assert len(plane.V) == 0 and plane.a.shape == (2, 2)
+    empty = _FloatSystem.from_system(QuadraticSystem(dim=2, constraints=()))
+    assert empty.eval_batch(pts[:, :2]).shape == (7, 0)
+    assert np.isinf(empty.ray_exit(np.zeros(2), dirs[:, :2])).all()
+
+
+# ---------------------------------------------------------------------------
+# Active-set grouping
+
+
+def _unique_groups(active):
+    rows, inverse = np.unique(active, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return rows, [np.flatnonzero(inverse == g) for g in range(len(rows))]
+
+
+@pytest.mark.parametrize("m", [1, 8, 63, 64, 65, 130])
+def test_group_rows_matches_np_unique(m):
+    rng = np.random.default_rng(m)
+    batches = [np.zeros((0, m), bool), rng.random((1, m)) < 0.5, np.zeros((1, m), bool)]
+    for density in (0.02, 0.2, 0.5):
+        active = rng.random((300, m)) < density
+        active[::7] = False  # all-False rows
+        active[1::11] = active[2]  # repeated rows
+        active[3::13, -1] = True  # rows that differ in the last column only
+        batches.append(active)
+    for active in batches:
+        rows, groups = _group_rows(active)
+        ref_rows, ref_groups = _unique_groups(active)
+        np.testing.assert_array_equal(rows, ref_rows)
+        assert len(groups) == len(ref_groups)
+        for members, ref_members in zip(groups, ref_groups):
+            np.testing.assert_array_equal(members, ref_members)

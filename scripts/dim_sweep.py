@@ -1,17 +1,18 @@
-"""Time the template {0..n} through realize, exact_signature, a JSON round
-trip, minimal_face_dim_at on every exact witness and probe_signature
-(2000 samples, seed 42).
+"""Time the template {0..n} through realize, exact_signature, JSON encoding
+(system_to_json and formats.dumps), JSON decoding (json.loads and
+system_from_json), minimal_face_dim_at on every exact witness and
+probe_signature (2000 samples, seed 42).
 
     PYTHONPATH=src python3 scripts/dim_sweep.py [n ...]
 
 Prints one JSON object: for each n (default 8 16 24 32 48 64 96 128) the best wall
 time of 3 calls of each step, in seconds, all in one process, and whether
-the certified signature is {0..n}, the round trip gives back an equal
-system, every witness reads back its own dimension and the probe finds
-{0..n}.  Each minimal_face_dim_at call gets a freshly loaded system, so the
+the certified signature is {0..n}, decoding the encoded text gives back an
+equal system, every witness reads back its own dimension and the probe finds
+{0..n}.  Each minimal_face_dim_at call gets a freshly decoded system, so the
 face-measurement context cached on a system is built in every call.  The
-default sizes take about five minutes on a 2-core machine, most of it in the
-JSON round trips at n = 96 and 128.
+default sizes take about five minutes on a 2-core machine, most of it in
+JSON decoding at n = 96 and 128.
 """
 
 import json
@@ -38,8 +39,12 @@ def _best(fn, fresh=lambda: None):
     return out, round(best, 4)
 
 
-def _round_trip(system):
-    return formats.system_from_json(json.loads(json.dumps(formats.system_to_json(system))))
+def _to_json(system):
+    return formats.dumps(formats.system_to_json(system))
+
+
+def _from_json(text):
+    return formats.system_from_json(json.loads(text))
 
 
 def main(sizes):
@@ -48,12 +53,14 @@ def main(sizes):
         sig = Signature(tuple(range(n + 1)))
         system, t_realize = _best(lambda _: realize(sig).system)
         report, t_exact = _best(lambda _: exact_signature(system))
-        loaded, t_json = _best(lambda _: _round_trip(system))
+        text, t_to_json = _best(lambda _: _to_json(system))
+        loaded, t_from_json = _best(lambda _: _from_json(text))
         dims, t_dims = _best(lambda fresh: {d: minimal_face_dim_at(fresh, w)
                                             for d, w in report.witnesses.items()},
-                             lambda: _round_trip(system))
+                             lambda: _from_json(text))
         probe, t_probe = _best(lambda _: probe_signature(system, 2000, 42))
-        sweep[n] = {"realize_s": t_realize, "exact_signature_s": t_exact, "json_round_trip_s": t_json,
+        sweep[n] = {"realize_s": t_realize, "exact_signature_s": t_exact,
+                    "to_json_s": t_to_json, "from_json_s": t_from_json,
                     "minimal_face_dim_at_s": t_dims, "probe_signature_s": t_probe,
                     "signature_ok": report.signature == sig, "round_trip_ok": loaded == system,
                     "witness_dims_ok": all(d == k for k, d in dims.items()),

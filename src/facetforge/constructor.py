@@ -84,17 +84,18 @@ def default_params() -> ConstructionParams:
     return ConstructionParams(c=Fraction(7, 10), r=Fraction(8, 5))
 
 
-def template_rows(index: int, n: int) -> dict[int, dict[int, int]]:
+def template_rows(index: int, n: int) -> dict[int, dict[int, Fraction]]:
     """Nonzero rows of the template matrix of face dimension `index` in R^n:
     the identity on the last n - index coordinates.  Index 0 is the ball's."""
-    return {i: {i: 1} for i in range(index, n)}
+    one = Fraction(1)
+    return {i: {i: one} for i in range(index, n)}
 
 
 def build_ball(n: int) -> ConvexQuadratic:
     """The unit ball |x|^2 <= 1 in R^n."""
     if n < 1:
         raise ValueError("the ball needs at least one dimension")
-    return ConvexQuadratic(A=template_rows(0, n), a=zero_vector(n), alpha=Fraction(-1))
+    return ConvexQuadratic._psd_by_construction(template_rows(0, n), zero_vector(n), -1)
 
 
 def build_cylinder(index: int, n: int, params: ConstructionParams) -> ConvexQuadratic:
@@ -103,8 +104,8 @@ def build_cylinder(index: int, n: int, params: ConstructionParams) -> ConvexQuad
         raise ValueError("cylinder index must lie strictly between 0 and n")
     a = list(zero_vector(n))
     a[index] = params.c
-    return ConvexQuadratic(
-        A=template_rows(index, n), a=a, alpha=params.c * params.c - params.r * params.r
+    return ConvexQuadratic._psd_by_construction(
+        template_rows(index, n), a, params.c * params.c - params.r * params.r
     )
 
 
@@ -229,5 +230,5 @@ def exposing_halfspace(
     if evaluate(cylinder, point) != 0:
         raise ValueError("point does not lie on the cylinder boundary")
     # Half the cylinder's gradient at the point.
-    normal = vec_add(mat_vec(cylinder.A, point), cylinder.a)
+    normal = vec_add(mat_vec(cylinder.nonzeros, point), cylinder.a)
     return ExposingHalfspace(normal=normal, offset=dot(normal, point))

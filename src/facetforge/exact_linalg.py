@@ -53,7 +53,11 @@ def dot(u: RVector, v: RVector) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
-def mat_vec(m: RMatrix, v: RVector) -> RVector:
+def mat_vec(m: RMatrix | SparseRows, v: RVector) -> RVector:
+    """m v, for m dense or the nonzero rows of a len(v) x len(v) matrix."""
+    if isinstance(m, dict):
+        return tuple(sum((e * v[j] for j, e in m[i].items() if v[j]), _ZERO)
+                     if i in m else _ZERO for i in range(len(v)))
     return tuple(dot(row, v) for row in m)
 
 
@@ -150,6 +154,15 @@ class Subspace:
         if self.basis and rank(self.basis) != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
 
+    @classmethod
+    def _independent(cls, ambient_dim: int, basis: tuple[RVector, ...]) -> Subspace:
+        """The subspace spanned by basis, a tuple of Fraction tuples known to
+        be independent, without the rank check."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient_dim", ambient_dim)
+        object.__setattr__(s, "basis", basis)
+        return s
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -184,7 +197,9 @@ def null_space_basis(m, ambient_dim: int | None = None) -> Subspace:
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][c]
         basis.append(tuple(v))
-    return Subspace(ambient_dim, tuple(basis))
+    # One unit entry per free column, zero in every other free column: the
+    # basis is independent by construction.
+    return Subspace._independent(ambient_dim, tuple(basis))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:

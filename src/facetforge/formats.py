@@ -33,7 +33,7 @@ EIGENVALUE_CLIP = 1e-12
 
 
 def rational_to_json(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 def rational_from_json(text) -> Fraction:

@@ -27,6 +27,7 @@ from .exact_linalg import (
     _ZERO,
     RMatrix,
     RVector,
+    SparseRows,
     Subspace,
     dot,
     is_symmetric,
@@ -42,6 +43,14 @@ from .exact_linalg import (
 from .signatures import Signature
 
 
+def _dense(rows: SparseRows, n: int) -> RMatrix:
+    """The n x n matrix with nonzero rows `rows` as dense row tuples, absent
+    entries sharing one Fraction(0)."""
+    zero = (_ZERO,) * n
+    return tuple(tuple(map(rows[i].get, range(n), zero)) if i in rows else zero
+                 for i in range(n))
+
+
 @dataclass(frozen=True)
 class ConvexQuadratic:
     """One inequality <Ax,x> + 2<a,x> + alpha <= 0 with A symmetric PSD.
@@ -52,6 +61,13 @@ class ConvexQuadratic:
     Fraction(0).  Construction also keeps `nonzeros`, the nonzero rows of A
     in index order (rows of zeros left out), which is not a dataclass
     field; symmetry, the PSD test, evaluation and classification work on it.
+
+    ConvexQuadratic(...) checks the shape, symmetry and positive
+    semidefiniteness of A, and so does the JSON loader, which calls it:
+    every matrix from outside the program comes in checked.  Quadratics
+    derived from checked ones (embed, the verifier's restrictions, the
+    template builders) come from _psd_by_construction, which skips those
+    checks and builds the same fields.
     """
 
     A: RMatrix
@@ -59,30 +75,45 @@ class ConvexQuadratic:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", rvector(self.a))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        n = len(self.a)
+        a = rvector(self.a)
+        n = len(a)
         if isinstance(self.A, dict):
             rows = {i: {j: e if type(e) is Fraction else Fraction(e)
                         for j, e in sorted(row.items()) if e}
                     for i, row in sorted(self.A.items()) if any(row.values())}
             if any(not 0 <= k < n for i, row in rows.items() for k in (i, *row)):
                 raise ValueError("matrix shape does not match the linear term")
-            zero = (_ZERO,) * n
-            A = tuple(tuple(map(rows[i].get, range(n), zero)) if i in rows else zero
-                      for i in range(n))
+            A = _dense(rows, n)
         else:
             A = rmatrix(self.A)
             if len(A) != n or any(len(row) != n for row in A):
                 raise ValueError("matrix shape does not match the linear term")
             rows = sparse_rows(A)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "nonzeros", rows)
+        self._fill(A, rows, a, self.alpha)
         if not is_symmetric(rows):
             raise ValueError("quadratic form matrix must be symmetric")
         ok, _ = psd_ldlt(rows, n)
         if not ok:
             raise ValueError("quadratic form matrix is not positive semidefinite")
+
+    def _fill(self, A: RMatrix, rows: SparseRows, a: RVector, alpha):
+        for name, value in (("A", A), ("a", a), ("alpha", Fraction(alpha)),
+                            ("nonzeros", rows)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _psd_by_construction(cls, rows: SparseRows, a, alpha) -> ConvexQuadratic:
+        """The quadratic with nonzero rows `rows`, without the checks.
+
+        rows must be the nonzero rows, in index order with Fraction entries,
+        of a matrix that is symmetric PSD because of how it was derived from
+        a checked one (a zero-padded copy, a principal submatrix, B^T A B);
+        every index lies below len(a).
+        """
+        q = object.__new__(cls)
+        a = rvector(a)
+        q._fill(_dense(rows, len(a)), rows, a, alpha)
+        return q
 
     @property
     def dim(self) -> int:
@@ -249,7 +280,8 @@ def embed(q: ConvexQuadratic, target_dim: int, offset: int) -> ConvexQuadratic:
         for i, row in q.nonzeros.items()
     }
     a = (_ZERO,) * offset + q.a + (_ZERO,) * (n - offset - d)
-    return ConvexQuadratic(A=rows, a=a, alpha=q.alpha)
+    # A zero-padded copy of a PSD matrix is PSD.
+    return ConvexQuadratic._psd_by_construction(rows, a, q.alpha)
 
 
 def direct_sum(s: QuadraticSystem, t: QuadraticSystem) -> QuadraticSystem:

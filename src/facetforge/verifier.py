@@ -164,10 +164,12 @@ def _support(q: ConvexQuadratic) -> set[int]:
 
 
 def _restrict_constraint(q: ConvexQuadratic, idx: tuple[int, ...]) -> ConvexQuadratic:
+    # A principal submatrix of a PSD matrix is PSD; each nonzero row keeps
+    # its positive diagonal entry, and sorted idx keeps the index order.
     pos = {k: p for p, k in enumerate(idx)}
     rows = {pos[i]: {pos[j]: e for j, e in row.items() if j in pos}
             for i, row in q.nonzeros.items() if i in pos}
-    return ConvexQuadratic(A=rows, a=tuple(q.a[i] for i in idx), alpha=q.alpha)
+    return ConvexQuadratic._psd_by_construction(rows, tuple(q.a[i] for i in idx), q.alpha)
 
 
 def blocks(system: QuadraticSystem) -> BlockSplit:
@@ -303,7 +305,7 @@ def _boundary_point_along(
     tolerance, so the constraint still registers active.
     """
     assert cls.minimizer is not None and cls.min_value is not None
-    curod = dot(direction, mat_vec(q.A, direction))
+    curod = dot(direction, mat_vec(q.nonzeros, direction))
     assert curod > 0
     ratio = -cls.min_value / curod
     t = _rational_sqrt_below(ratio, curod)
@@ -971,14 +973,17 @@ def _restrict_affine(system: QuadraticSystem):
         for q, _, o in keep:
             if q is q0:
                 continue
-            shifted_a = vec_add(mat_vec(q.A, base), q.a)
+            shifted_a = vec_add(mat_vec(q.nonzeros, base), q.a)
             new_a = tuple(dot(b, shifted_a) for b in sub_basis)
-            images = [mat_vec(q.A, b) for b in sub_basis]
-            new_rows = {i: dict(enumerate(dot(bi, image) for image in images))
-                        for i, bi in enumerate(sub_basis)}
-            new_alpha = evaluate(q, base)
+            images = [mat_vec(q.nonzeros, b) for b in sub_basis]
+            # B^T A B is symmetric PSD for PSD A.
+            new_rows = {}
+            for i, bi in enumerate(sub_basis):
+                row = {j: e for j, image in enumerate(images) if (e := dot(bi, image))}
+                if row:
+                    new_rows[i] = row
             new_constraints.append(
-                ConvexQuadratic(A=new_rows, a=new_a, alpha=Fraction(new_alpha))
+                ConvexQuadratic._psd_by_construction(new_rows, new_a, evaluate(q, base))
             )
             origin.append(o)
         current = QuadraticSystem(

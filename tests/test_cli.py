@@ -261,6 +261,26 @@ def test_bad_dim_exit_2(tmp_path, capsys, dim, command):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    ("A", "reason"),
+    [([["1", "2"], ["2", "1"]], "not positive semidefinite"),
+     ([["1", "2"], ["3", "1"]], "must be symmetric")],
+    ids=["indefinite", "asymmetric"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["verify", "--probe"], ["export", "--format", "socp"],
+     ["export", "--format", "sdpa"]],
+)
+def test_matrix_from_a_file_is_checked_exit_2(tmp_path, capsys, A, reason, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "constraints": [{"A": A, "a": ["0", "0"], "alpha": "-1"}]}))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+
+
 def _huge_entry_file(tmp_path, A, a):
     data = {
         "dim": 2,

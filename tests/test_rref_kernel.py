@@ -15,6 +15,7 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from facetforge.exact_linalg import (
+    Subspace,
     _rref,
     dot,
     null_space_basis,
@@ -180,6 +181,19 @@ def test_kernel_matches_references(case, data):
     else:
         b = tuple(F(data.draw(st.integers(-3, 3))) for _ in m)
     _check_against_references(m, ncols, b)
+
+
+@SETTINGS
+@given(rational_matrices())
+def test_null_space_basis_equals_the_checked_subspace(case):
+    # null_space_basis skips Subspace's rank check; the public constructor
+    # must accept its basis and give an equal subspace.
+    m, ncols = case
+    space = null_space_basis(m, ncols)
+    checked = Subspace(ncols, space.basis)
+    assert space == checked
+    assert hash(space) == hash(checked)
+    assert repr(space) == repr(checked)
 
 
 def test_kernel_matches_references_on_hilbert_and_dense_blocks():

@@ -2,7 +2,8 @@
 
 psd_ldlt and is_symmetric are compared with the dense elimination they
 replaced, kept here verbatim as the reference; evaluate is compared with
-the dense formula <Ax, x> + 2<a, x> + alpha.  Hypothesis runs derandomized,
+the dense formula <Ax, x> + 2<a, x> + alpha, and mat_vec of nonzero rows
+with mat_vec of the dense rows.  Hypothesis runs derandomized,
 so every run draws the same examples.
 """
 
@@ -139,6 +140,15 @@ def quadratics_and_points(draw):
 
 def _dense_value(q, x):
     return dot(x, mat_vec(q.A, x)) + 2 * dot(q.a, x) + q.alpha
+
+
+@SETTINGS
+@given(quadratics_and_points())
+def test_mat_vec_of_nonzero_rows_matches_dense(case):
+    q, x = case
+    product = mat_vec(q.nonzeros, x)
+    assert product == mat_vec(q.A, x)
+    assert all(type(e) is Fraction for e in product)
 
 
 @SETTINGS

@@ -226,6 +226,11 @@ def _cmd_slice(args) -> int:
     return 0
 
 
+# The experiment searches {0, p_1, ..., p_k} past the default decomposition
+# cap; k = 20 ends at p_20 = 71.
+PRIMES_MAX_K = 20
+
+
 def _first_primes(k: int) -> list[int]:
     out: list[int] = []
     candidate = 2
@@ -239,8 +244,8 @@ def _first_primes(k: int) -> list[int]:
 def _cmd_experiment(args) -> int:
     if args.name != "primes":
         raise _InputError(f"unknown experiment {args.name!r}")
-    if args.k < 1:
-        raise _InputError("--k must be at least 1")
+    if not 1 <= args.k <= PRIMES_MAX_K:
+        raise _InputError(f"--k must lie in 1..{PRIMES_MAX_K}")
     sig = Signature.of(0, *_first_primes(args.k))
     direct = realize(sig, use_decomposition=False)
     decomposed = realize(sig, use_decomposition=True, budget=max(sig.max, 24))
@@ -305,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="bundled experiments")
     p.add_argument("name", help="experiment name (primes)")
-    p.add_argument("--k", type=int, default=4, help="number of primes")
+    p.add_argument("--k", type=int, default=4,
+                   help=f"number of primes, 1..{PRIMES_MAX_K} (default 4)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -30,7 +30,6 @@ from .signatures import (
     DecompositionTree,
     Leaf,
     Signature,
-    _dyadic_leafkey,
     decompose_min_cost,
     shift,
     tree_cost,
@@ -152,7 +151,7 @@ def build_complete_dyadic(n: int) -> QuadraticSystem:
     """
     if n < 0 or (n + 1) & n != 0:
         raise ValueError("the dyadic construction needs n = 2^K - 1")
-    leaves = [Signature(leaf) for leaf in _dyadic_leafkey(n)]
+    leaves = [Signature.of(0, 1 << k) for k in range(n.bit_length())]
     return _assemble(leaves, default_params())
 
 

@@ -4,12 +4,14 @@ A signature is the set of dimensions of the nonempty faces of a convex set.
 This module provides the sumset operations that mirror direct sums of sets,
 an exact lower bound on how many convex quadratic inequalities any
 realization of a signature needs, and a minimum-cost search over sumset
-decompositions used to realize signatures cheaply.
+decompositions used to realize signatures cheaply.  The search visits the
+keys (cost, leaf count, sorted leaves) in ascending order from the lower
+bound up, so its first hit is the cheapest decomposition and the tie-break
+needs no further search.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -196,42 +198,107 @@ def _mask_of(elems) -> int:
     return m
 
 
-def _elems_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+def _balanced_product(cost: int, count: int) -> int:
+    """Largest size product of count leaves (each of 2 or more elements) of
+    total cost `cost`, reached by sizes that differ by at most one; it bounds
+    the size of their sumset."""
+    q, s = divmod(cost, count)
+    return (q + 2) ** s * (q + 1) ** (count - s)
 
 
-def _dyadic_leafkey(span: int) -> tuple[tuple[int, ...], ...]:
-    # Complete {0..span} always splits into doubleton leaves {0, 2^j} plus a
-    # remainder doubleton; cost matches the log lower bound.
-    leaves = []
-    covered = 1
-    while covered * 2 <= span + 1:
-        leaves.append((0, covered))
-        covered *= 2
-    if covered < span + 1:
-        leaves.append((0, span + 1 - covered))
-    return tuple(sorted(leaves))
+def _splits(imask: int, elems: tuple[int, ...]) -> bool:
+    """True iff I = A + B with |A|, |B| >= 2 (I given as mask and elements).
+
+    Some such A holds 0 and g = elems[1], and then B = {b : A + b within I}
+    works too.  A grows in ascending order and B only shrinks as it does, so
+    the lowest element of I that A + B misses bounds A's next element.
+    """
+
+    def grow(amask: int, last: int) -> bool:
+        shifts = [b for b in elems if (amask << b) | imask == imask]
+        if len(shifts) < 2:
+            return False
+        cover = 0
+        for b in shifts:
+            cover |= amask << b
+        gap = imask & ~cover
+        if not gap:
+            return True
+        low = (gap & -gap).bit_length() - 1
+        return any(grow(amask | 1 << a, a) for a in elems if last < a <= low)
+
+    return grow(1 | 1 << elems[1], elems[1])
+
+
+def _first_leaves(imask: int, elems: tuple[int, ...], cost: int, count: int):
+    """Smallest leaf tuple L_1 <= ... <= L_count of this cost summing to I.
+
+    Each leaf holds 0 and at least one more element.  The depth-first search
+    picks each leaf's elements in ascending order and tries a leaf before its
+    extensions, so it visits the tuples in Python's order and its first hit
+    is the smallest.  S is the sumset of the leaves placed so far.
+    """
+    n, size = elems[-1], len(elems)
+
+    def place(S: int, summax: int, r: int, k: int, prev: tuple[int, ...]):
+        # k leaves of total cost r remain, each >= prev; their maxima sum to
+        # n - summax.
+        shifts = [e for e in elems[1:] if e <= n - summax and (S << e) | imask == imask]
+        gap = imask & ~S
+        lowest_gap = (gap & -gap).bit_length() - 1
+        top = r - k + 2  # the largest leaf that leaves the others 2 elements
+
+        def grow(leaf: tuple[int, ...], T: int, tight: bool):
+            # T = S + leaf; tight while leaf is a prefix of prev.
+            s = len(leaf)
+            bounded = tight and s < len(prev)
+            if s >= 2 and not bounded:
+                if k == 1:
+                    if s == top and T == imask:
+                        return (leaf,)
+                elif (summax + leaf[-1] + (k - 1) * leaf[1] <= n
+                      and T.bit_count() * _balanced_product(r - s + 1, k - 1) >= size):
+                    rest = place(T, summax + leaf[-1], r - s + 1, k - 1, leaf)
+                    if rest:
+                        return (leaf,) + rest
+            if s == top:
+                return None
+            lo = prev[s] if bounded else leaf[-1] + 1
+            for e in shifts:
+                if e < lo:
+                    continue
+                # The lowest element missing from S needs a nonzero summand
+                # from this leaf or a later one.  A later leaf's nonzero
+                # elements, its max among them, are no smaller than this
+                # leaf's second one, and the leaf maxima sum to n.
+                if s == 1:
+                    if e > lowest_gap or summax + k * e > n:
+                        break
+                elif summax + e + (k - 1) * leaf[1] > n:
+                    break
+                found = grow(leaf + (e,), T | S << e, bounded and e == lo)
+                if found:
+                    return found
+            return None
+
+        return grow((0,), S, True)
+
+    return place(1, 0, cost, count, (0,))
 
 
 @lru_cache(maxsize=512)
 def decompose_min_cost(sig: Signature, budget: int | None = None) -> DecompositionTree:
     """Minimum-cost sumset factorization of sig (cost = sum of |leaf|-1).
 
-    Exhaustive memoized enumeration over factor pairs: a candidate leaf A
-    with 0 and the smallest nonzero element, its compatible shift set
-    Bmax = {b : A + {b} subset of sig}, and every covering subset of Bmax as
-    the recursive cofactor.  Branch and bound prunes pairs whose lower-bound
-    cost already exceeds the incumbent; ties resolve toward fewer leaves,
-    then the lexicographically smallest leaf multiset.  Refuses signatures
-    with max element beyond the budget cap (default 24): the search is
-    exponential by nature.
+    Returns the tree with the smallest key (cost, leaf count, sorted leaves):
+    ties resolve toward fewer leaves, then the lexicographically smallest
+    leaf tuple.  Unless sig = A + B with |A|, |B| >= 2, it is the single
+    leaf.  Otherwise the keys are searched in ascending order: for each cost
+    from lower_bound(sig).k up to |sig| - 2 and each leaf count, a
+    depth-first search looks for the smallest leaf tuple at that level, so
+    the first hit is the answer; when none is found the single leaf is.
+    Refuses signatures with max element beyond the budget cap (default 24):
+    the search is exponential by nature.
     """
     if sig.min != 0:
         raise ValueError("decompose_min_cost expects a signature with min 0")
@@ -241,96 +308,15 @@ def decompose_min_cost(sig: Signature, budget: int | None = None) -> Decompositi
             f"max element {sig.max} exceeds the decomposition cap {cap}; "
             "raise the budget to force the search"
         )
-    if len(sig) == 1:
-        return Leaf(sig)
-
-    memo: dict[int, tuple[int, int, tuple[tuple[int, ...], ...]]] = {}
-    lb_memo: dict[int, int] = {}
-
-    def lbk(mask: int) -> int:
-        if mask not in lb_memo:
-            lb_memo[mask] = lower_bound(Signature(_elems_of(mask))).k
-        return lb_memo[mask]
-
-    def covering_cofactors(amask: int, bmax: list[int], imask: int):
-        """All r with 0 in r, r - {0} subset of bmax, union (amask << b) == imask.
-
-        bmax holds the admissible nonzero shifts; the zero shift is mandatory
-        and seeded directly.
-        """
-        results: list[int] = []
-        base = amask  # shift by the mandatory 0
-
-        def rec(idx: int, rmask: int, covered: int):
-            if covered == imask:
-                results.append(rmask)
-                # supersets of a covering set still cover; keep extending
-            if idx == len(bmax):
-                return
-            uncovered = imask & ~covered
-            if uncovered:
-                low = (uncovered & -uncovered).bit_length() - 1
-                if bmax[idx] > low:
-                    return  # nothing later can reach the lowest gap
-            rec(idx + 1, rmask, covered)  # skip bmax[idx]
-            b = bmax[idx]
-            rec(idx + 1, rmask | (1 << b), covered | (amask << b))
-
-        rec(0, 1, base)
-        return results
-
-    def best(imask: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-        if imask in memo:
-            return memo[imask]
-        elems = _elems_of(imask)
-        span = elems[-1]
-        incumbent = (len(elems) - 1, 1, (elems,))
-        if len(elems) == span + 1 and span >= 1:
-            seed = _dyadic_leafkey(span)
-            seed_entry = (sum(len(t) - 1 for t in seed), len(seed), seed)
-            if seed_entry < incumbent:
-                incumbent = seed_entry
-        memo[imask] = incumbent  # guard against re-entry; refined below
-        g = elems[1]
-        others = [e for e in elems[2:]]
-        for size in range(2, len(elems) + 1):
-            if (size - 1) + 1 > incumbent[0]:
-                break  # any cofactor costs at least 1 more
-            for extra in itertools.combinations(others, size - 2):
-                a_elems = (0, g) + extra
-                amask = _mask_of(a_elems)
-                aspan = a_elems[-1]
-                if aspan >= span:
+    elems = sig.elements
+    imask = _mask_of(elems)
+    if len(elems) > 2 and _splits(imask, elems):
+        for cost in range(lower_bound(sig).k, len(elems) - 1):
+            for count in range(2, cost + 1):
+                # The sumset of count leaves has at most this many elements.
+                if _balanced_product(cost, count) < len(elems):
                     continue
-                bmax = [
-                    b
-                    for b in range(1, span - aspan + 1)
-                    if ((amask << b) | imask) == imask
-                ]
-                union = amask
-                for b in bmax:
-                    union |= amask << b
-                if union != imask:
-                    continue
-                leaf_cost = size - 1
-                for rmask in covering_cofactors(amask, bmax, imask):
-                    if rmask.bit_count() < 2:
-                        continue
-                    if leaf_cost + lbk(rmask) > incumbent[0]:
-                        continue
-                    rcost, rleaves, rkey = best(rmask)
-                    cand = (
-                        leaf_cost + rcost,
-                        1 + rleaves,
-                        tuple(sorted(rkey + (a_elems,))),
-                    )
-                    if cand < incumbent:
-                        incumbent = cand
-                        memo[imask] = incumbent
-        memo[imask] = incumbent
-        return incumbent
-
-    _, nleaves, leafkey = best(_mask_of(sig.elements))
-    if nleaves == 1:
-        return Leaf(Signature(leafkey[0]))
-    return Sum(tuple(Leaf(Signature(t)) for t in leafkey))
+                leaves = _first_leaves(imask, elems, cost, count)
+                if leaves:
+                    return Sum(tuple(Leaf(Signature(t)) for t in leaves))
+    return Leaf(sig)

@@ -241,6 +241,13 @@ def test_experiment_rejects_bad_args(capsys):
     assert main(["experiment", "primes", "--k", "0"]) == 2
 
 
+def test_experiment_primes_refuses_k_beyond_20(capsys):
+    assert main(["experiment", "primes", "--k", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --k must lie in 1..20"]
+
+
 def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

@@ -2,13 +2,19 @@
 
 The lower bound is checked against a brute-force enumeration of
 descending certificate sequences, and the decomposition search against an
-unoptimized recursive factorizer, both implemented here independently.
+unoptimized recursive factorizer, both implemented here independently.  The
+decomposition keys are also compared with the memoized cofactor enumeration
+the search replaced (tests/reference_decompose.py), live on every signature
+with max at most 12 and through its recorded keys on larger ones.
 """
 
 import itertools
+import json
+import math
 import random
 
 import pytest
+import reference_decompose
 
 from facetforge.signatures import (
     DecompositionCapExceeded,
@@ -108,17 +114,27 @@ def test_lower_bound_is_minimal_by_exhaustion():
         assert cert.k == _brute_min_k(sig), sig
 
 
-def test_bound_sandwich_on_every_signature_up_to_12():
+@pytest.mark.parametrize("top, tight_count", [(12, 743), (13, 1054)])
+def test_bound_sandwich_on_every_signature_up_to_max(top, tight_count):
     # lower_bound(I).k <= min decomposition cost <= |I| - 1 for every I with
-    # min 0 and max <= 12; the bound is tight on 743 of these 4095.
+    # min 0 and max <= top; the bound is tight on 743 of the 4095 with
+    # max <= 12 and on 1054 of the 8191 with max <= 13.
     tight = 0
-    for bits in range(1, 1 << 12):
-        sig = Signature.of(0, *(e + 1 for e in range(12) if bits >> e & 1))
+    for bits in range(1, 1 << top):
+        sig = Signature.of(0, *(e + 1 for e in range(top) if bits >> e & 1))
         k = lower_bound(sig).k
         cost = tree_cost(decompose_min_cost(sig))
         assert k <= cost <= len(sig) - 1, sig
         tight += k == cost
-    assert tight == 743
+    assert tight == tight_count
+
+
+def test_bound_is_tight_on_complete_signatures_up_to_64():
+    for top in range(1, 65):
+        sig = Signature(tuple(range(top + 1)))
+        tree = decompose_min_cost(sig, budget=64)
+        assert tree_signature(tree) == sig
+        assert tree_cost(tree) == lower_bound(sig).k == math.ceil(math.log2(top + 1)), top
 
 
 def test_check_certificate_rejects_wrong_n_and_uncovered():
@@ -228,3 +244,51 @@ def test_decompose_tie_break_prefers_fewer_then_lexicographic_leaves():
     tree = decompose_min_cost(Signature.of(0, 1, 2, 3, 4, 5))
     assert tree_cost(tree) == 3
     assert tree_leaves(tree) == (Signature.of(0, 1), Signature.of(0, 2, 4))
+
+
+def test_decompose_complete_24_pins_its_leaves():
+    tree = decompose_min_cost(Signature(tuple(range(25))))
+    assert [leaf.elements for leaf in tree_leaves(tree)] == [
+        (0, 1), (0, 2), (0, 3), (0, 6), (0, 12)]
+
+
+def _key(tree):
+    leaves = tree_leaves(tree)
+    return tree_cost(tree), len(leaves), tuple(leaf.elements for leaf in leaves)
+
+
+def test_decompose_keys_match_reference_up_to_max_12():
+    reference = reference_decompose.decompose_min_cost.__wrapped__
+    for bits in range(1, 1 << 12):
+        sig = Signature.of(0, *(e + 1 for e in range(12) if bits >> e & 1))
+        assert _key(decompose_min_cost(sig)) == _key(reference(sig)), sig
+
+
+def _recorded_keys():
+    data = json.loads(reference_decompose.KEYS_PATH.read_text())
+    keys = [(tuple(r["signature"]), tuple(map(tuple, r["leaves"]))) for r in data["keys"]]
+    return data, keys
+
+
+def test_recorded_reference_keys_cover_the_seeded_and_near_complete_sets():
+    data, keys = _recorded_keys()
+    near = [sig.elements for sig in reference_decompose.near_complete_signatures()]
+    expected = [sig.elements for sig in reference_decompose.seeded_signatures()] + near
+    unfinished = [tuple(sig) for sig in data["unfinished"]]
+    assert set(unfinished) <= set(near)
+    assert [sig for sig, _ in keys] == [sig for sig in expected if sig not in unfinished]
+    # The recording is the reference's: recompute the ones with at most 13
+    # elements, where the reference takes milliseconds.
+    reference = reference_decompose.decompose_min_cost.__wrapped__
+    for elements, leaves in keys:
+        if len(elements) <= 13:
+            assert _key(reference(Signature(elements)))[2] == leaves, elements
+
+
+def test_decompose_keys_match_recorded_reference():
+    _, keys = _recorded_keys()
+    for elements, leaves in keys:
+        sig = Signature(elements)
+        tree = decompose_min_cost(sig)
+        assert tree_signature(tree) == sig
+        assert _key(tree)[2] == leaves, sig

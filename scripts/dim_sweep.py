@@ -1,4 +1,5 @@
-"""Time the template {0..n} through realize, exact_signature, JSON encoding
+"""Time the template {0..n} through realize, exact_signature, classify of
+every constraint (the exact core's per-constraint step), JSON encoding
 (system_to_json and formats.dumps), JSON decoding (json.loads and
 system_from_json), minimal_face_dim_at on every exact witness and
 probe_signature (2000 samples, seed 42), and the decomposition search
@@ -24,6 +25,7 @@ import time
 
 from facetforge import formats
 from facetforge.constructor import realize
+from facetforge.quadratics import classify
 from facetforge.signatures import Signature, decompose_min_cost, lower_bound, tree_cost
 from facetforge.verifier import exact_signature, minimal_face_dim_at, probe_signature
 
@@ -56,6 +58,7 @@ def main(sizes):
         sig = Signature(tuple(range(n + 1)))
         system, t_realize = _best(lambda _: realize(sig).system)
         report, t_exact = _best(lambda _: exact_signature(system))
+        _, t_classify = _best(lambda _: [classify(q) for q in system.constraints])
         text, t_to_json = _best(lambda _: _to_json(system))
         loaded, t_from_json = _best(lambda _: _from_json(text))
         dims, t_dims = _best(lambda fresh: {d: minimal_face_dim_at(fresh, w)
@@ -64,6 +67,7 @@ def main(sizes):
         probe, t_probe = _best(lambda _: probe_signature(system, 2000, 42))
         tree, t_decompose = _best(lambda _: decompose_min_cost.__wrapped__(sig, n))
         sweep[n] = {"realize_s": t_realize, "exact_signature_s": t_exact,
+                    "classify_s": t_classify,
                     "to_json_s": t_to_json, "from_json_s": t_from_json,
                     "minimal_face_dim_at_s": t_dims, "probe_signature_s": t_probe,
                     "decompose_s": t_decompose,

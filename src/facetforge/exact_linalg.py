@@ -5,9 +5,10 @@ matrix can also be given by its nonzero entries as rows {i: {j: m_ij}}
 (SparseRows, built by sparse_rows); rows with no nonzero entry are left
 out.  The symmetry test and the LDL^T elimination take either form and
 touch nonzeros only.  Every operation here is exact; floating point never
-enters.  One integer row reduction (_rref) answers rank, null-space bases
-and linear solves; it keeps every row primitive, so coefficient growth
-stays in check, and takes rows dense or as dicts {j: m_j} of nonzeros.
+enters.  One integer row reduction (_rref) answers rank and null-space
+bases; it keeps every row primitive, so coefficient growth stays in check,
+and takes rows dense or as dicts {j: m_j} of nonzeros.  Solves are read off
+the null space: x solves m x = b when (x, 1) is a null vector of [m | -b].
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ def full_space(n: int) -> Subspace:
 
 
 def null_space_basis(m, ambient_dim: int | None = None) -> Subspace:
-    """Basis of {x : m x = 0}, rows given as for _rref.  ambient_dim is
-    required when m has no rows or its first row is a dict."""
+    """Basis of {x : m x = 0}, rows given as for _rref, one vector per free
+    column in ascending order; solves are read off it (solve_linear).
+    ambient_dim is required when m has no rows or its first row is a dict."""
     if ambient_dim is None:
         if not m or isinstance(m[0], dict):
             raise ValueError("ambient_dim required for an empty or sparse matrix")
@@ -223,18 +225,13 @@ def intersect_subspaces(subspaces, ambient_dim: int | None = None) -> Subspace:
 
 
 def solve_linear(m: RMatrix, b: RVector) -> RVector | None:
-    """One particular solution of m x = b, or None when inconsistent."""
+    """One particular solution of m x = b, 0 at the free columns, or None when
+    inconsistent: read off the last null vector of [m | -b], (x, 1) if any is."""
     if len(m) != len(b):
         raise ValueError("dimension mismatch in linear solve")
     ncols = len(m[0]) if m else 0
-    aug = tuple(row + (bi,) for row, bi in zip(m, b))
-    rows, pivots = _rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][ncols]
-    return tuple(x)
+    basis = null_space_basis(tuple(row + (-bi,) for row, bi in zip(m, b)), ncols + 1).basis
+    return basis[-1][:ncols] if basis and basis[-1][ncols] else None
 
 
 def project_onto(v: RVector, s: Subspace) -> RVector:

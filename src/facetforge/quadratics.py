@@ -14,7 +14,9 @@ signature (n = ambient dimension, m = nullity of A):
     A != 0, a_N != 0          cylinder over a paraboloid, signature {m-1, n}
 
 where a_N is the component of a in null(A) and v* = alpha + <a, x0> is the
-minimum of f, attained at any x0 with A x0 = -a.  Everything here is exact.
+minimum of f, attained at any x0 with A x0 = -a.  classify reads null(A),
+x0 and so v* off one null space, that of [A | a], which holds a vector
+(x0, 1) exactly when a_N = 0.  Everything here is exact.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from .exact_linalg import (
     psd_ldlt,
     rmatrix,
     rvector,
-    solve_linear,
     sparse_rows,
-    vec_scale,
 )
 from .signatures import Signature
 
@@ -199,10 +199,12 @@ def classify(q: ConvexQuadratic) -> QuadraticClass:
             proper_face_dim=n - 1,
             face_directions=constant_directions((q,), n),
         )
-    rows = tuple(q.nonzeros.values())
-    null = null_space_basis(rows, n)
+    rows = tuple({**q.nonzeros.get(i, {}), n: e} if e else q.nonzeros[i]
+                 for i, e in enumerate(q.a) if e or i in q.nonzeros)
+    basis = null_space_basis(rows, n + 1).basis
+    x0 = basis[-1][:n] if basis and basis[-1][n] else None
+    null = Subspace._independent(n, tuple(b[:n] for b in basis if not b[n]))
     m = null.dim
-    x0 = solve_linear(q.A, vec_scale(-1, q.a))
     if x0 is None:
         # A is symmetric: a leaves range(A) exactly when a_N != 0.
         return QuadraticClass(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from facetforge import exact_linalg
 from facetforge.exact_linalg import (
     dot,
     mat_vec,
@@ -93,6 +94,46 @@ def test_classification_seven_canonical_kinds():
         else:
             assert cls.signature.elements == sig
             assert single_signature(q).elements == sig
+
+
+# A rank-1, non-diagonal A in R^3: <Ax, x> = (x_0 + x_1)^2.
+RANK_ONE = ((1, 1, 0), (1, 1, 0), (0, 0, 0))
+ZERO = ((0, 0), (0, 0))
+# (A, a, alpha, kind, _rref calls of one classify or None when not pinned).
+ONE_REDUCTION_CASES = [
+    (ZERO, (0, 0), -1, K.FULL_SPACE, 0),
+    (ZERO, (0, 0), 1, K.EMPTY, 0),
+    (ZERO, (0, 1), 0, K.HALF_SPACE, None),
+    (((2, 1), (1, 1)), (-1, 0), 1, K.SINGLETON, 1),
+    (RANK_ONE, (-1, -1, 0), 1, K.AFFINE_SUBSPACE, 1),
+    (RANK_ONE, (-1, -1, 0), 0, K.CYLINDER_BALL, 1),
+    (RANK_ONE, (-1, -1, 0), 2, K.EMPTY, 1),
+    (RANK_ONE, (-1, -1, 1), 0, K.PARABOLOID_CYLINDER, None),
+]
+
+
+@pytest.mark.parametrize(
+    "A, a, alpha, kind, rref_calls", ONE_REDUCTION_CASES,
+    ids=[f"{c[3].value}-{'zero' if c[0] == ZERO else 'nonzero'}" for c in ONE_REDUCTION_CASES],
+)
+def test_classify_is_one_reduction_over_nonzero_rows(monkeypatch, A, a, alpha, kind,
+                                                     rref_calls):
+    q = ConvexQuadratic(A=A, a=a, alpha=alpha)
+    expected = classify(q)
+    assert expected.kind is kind
+    # Classification reads the nonzero rows only, never the dense field.
+    object.__setattr__(q, "A", None)
+    calls = []
+    rref = exact_linalg._rref
+
+    def counted(m, ncols):
+        calls.append(ncols)
+        return rref(m, ncols)
+
+    monkeypatch.setattr(exact_linalg, "_rref", counted)
+    assert classify(q) == expected
+    if rref_calls is not None:
+        assert len(calls) == rref_calls
 
 
 def test_cylinder_ball_class_data():

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="cylinder parameters as 'c,r'")
     p.add_argument("--decompose", action="store_true", help="search for a "
                    "cheaper sumset decomposition first")
-    p.add_argument("--budget", type=int, help="decomposition search cap")
+    p.add_argument("--budget", type=_non_negative_int, help="decomposition search cap")
     p.add_argument("--out", help="output system path (plan goes beside it)")
     p.set_defaults(func=_cmd_construct)
 
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="minimum-cost sumset decomposition")
     p.add_argument("--signature", required=True)
-    p.add_argument("--budget", type=int, help="search cap on the max element")
+    p.add_argument("--budget", type=_non_negative_int, help="search cap on the max element")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("export", help="emit SOCP data or an SDPA file")

@@ -21,6 +21,7 @@ RVector = tuple[Fraction, ...]
 RMatrix = tuple[RVector, ...]
 SparseRows = dict[int, dict[int, Fraction]]
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rvector(entries) -> RVector:
@@ -136,9 +137,13 @@ def _rref(m, ncols: int):
     ], pivots
 
 
-def rank(m: RMatrix) -> int:
-    """Rank of m: the pivot count of its reduced row echelon form."""
-    return len(_rref(m, len(m[0]) if m else 0)[1])
+def rank(m, ncols: int | None = None) -> int:
+    """Rank of m: the pivot count of its reduced row echelon form.  Rows
+    are given as for _rref; ncols defaults to the first row's length and is
+    required when that row is a dict."""
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    return len(_rref(m, ncols)[1])
 
 
 @dataclass(frozen=True)
@@ -194,10 +199,11 @@ def null_space_basis(m, ambient_dim: int | None = None) -> Subspace:
     free = [c for c in range(ambient_dim) if c not in pivots]
     basis = []
     for c in free:
-        v = [Fraction(0)] * ambient_dim
-        v[c] = Fraction(1)
+        v = [_ZERO] * ambient_dim
+        v[c] = _ONE
         for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][c]
+            if e := rows[i][c]:
+                v[pc] = -e
         basis.append(tuple(v))
     # One unit entry per free column, zero in every other free column: the
     # basis is independent by construction.

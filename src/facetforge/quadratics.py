@@ -36,6 +36,7 @@ from .exact_linalg import (
     null_space_basis,
     project_onto,
     psd_ldlt,
+    rank,
     rmatrix,
     rvector,
     sparse_rows,
@@ -176,11 +177,20 @@ def constant_directions(constraints, n: int) -> Subspace:
     the stacked nonzero rows of each A and each linear term a.  This is the
     face-direction rule, for one constraint's class and for an active set.
     """
+    return null_space_basis(_direction_rows(constraints), n)
+
+
+def constant_direction_dim(constraints, n: int) -> int:
+    """constant_directions(constraints, n).dim, from the pivot count alone."""
+    return n - rank(_direction_rows(constraints), n)
+
+
+def _direction_rows(constraints) -> tuple:
     rows = []
     for q in constraints:
         rows.extend(q.nonzeros.values())
         rows.append(q.a)
-    return null_space_basis(tuple(rows), n)
+    return tuple(rows)
 
 
 def classify(q: ConvexQuadratic) -> QuadraticClass:

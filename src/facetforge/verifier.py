@@ -17,13 +17,16 @@ reaches (corners where constraints meet, constraints that touch the set
 only where rays almost never land) are found too.  A tuple is refined only
 when every sub-tuple one smaller has been seen active, since wherever a
 tuple is active so are its sub-tuples; each round solves one start of
-every unresolved tuple in one vectorized batch.  Constraints never active
-at a hit or a refined point are named in a warning.  An active set's
-face direction space is the null space of its constraints' stacked rows
-(quadratics.constant_directions); each constraint's own such space is
-checked once against its exact classification, and every claimed face
-direction is probed at +-eps in floating point; disagreement surfaces as
-ProbeMismatch instead of being resolved silently.
+every unresolved tuple in one vectorized batch.  Refinement stops once
+every face dimension of the block has a point and every constraint has
+been active, since no later solve can change the report.  Constraints
+never active at a hit or a refined point are named in a warning.  An
+active set's face direction space is the null space of its constraints'
+stacked rows (quadratics.constant_directions); the dimension of each
+constraint's own such space is checked once against its exact
+classification, and every claimed face direction is probed at +-eps in
+floating point; disagreement surfaces as ProbeMismatch instead of being
+resolved silently.
 
 The probe path works on a float copy of the system that holds each
 constraint's matrix as its nonzero triples (constraint, row, column,
@@ -68,6 +71,7 @@ from .quadratics import (
     QuadraticKind,
     QuadraticSystem,
     classify,
+    constant_direction_dim,
     constant_directions,
     evaluate,
 )
@@ -766,7 +770,8 @@ class _DimContext:
     classes[j] is classify(system.constraints[j]), computed by the caller.
     Each constraint is checked once: its constant directions must have the
     dimension its class claims, that of face_directions where the class has
-    them and the nullity otherwise.
+    them and the nullity otherwise (constant_direction_dim, a pivot count,
+    so no basis is built).
     Direction spaces are cached per active set.  measure_batch groups its
     points by active set (_group_rows), so each distinct set is looked up
     once, and runs every point's own +-eps probe through max_batch,
@@ -779,7 +784,7 @@ class _DimContext:
         self.classes = classes
         self.mismatched = {
             j for j, (q, cls) in enumerate(zip(system.constraints, classes))
-            if constant_directions((q,), system.dim).dim
+            if constant_direction_dim((q,), system.dim)
             != (cls.nullity if cls.face_directions is None else cls.face_directions.dim)
         }
         self._spaces: dict[tuple[int, ...], tuple[Subspace, np.ndarray]] = {}
@@ -1062,6 +1067,7 @@ class _FaceLog:
     """
 
     def __init__(self, m: int, n: int, x0: np.ndarray):
+        self.n = n
         self.points: dict[int, np.ndarray] = {n: x0}
         self.seen: dict[frozenset[int], int] = {}
         self.index: list[set[int]] = [set() for _ in range(m)]
@@ -1077,6 +1083,11 @@ class _FaceLog:
 
     def covered(self, tup: tuple[int, ...]) -> bool:
         return bool(set.intersection(*(self.index[j] for j in tup)))
+
+    def settled(self) -> bool:
+        """Every dimension 0..n has a point and every constraint has been
+        active, so no refinement can change what the probe reports."""
+        return len(self.points) > self.n and len(self.ever_active) == len(self.index)
 
 
 def _read_hits(ctx: _DimContext, log: _FaceLog, pts: np.ndarray, vals: np.ndarray):
@@ -1141,13 +1152,19 @@ def _probe_faces(
     every sub-tuple.  Round k refines the k-th start of every unresolved
     tuple of one size in one batch; a tuple is resolved by its first start
     that lands on a feasible, cross-validated point, or once a recorded
-    active set covers it.
+    active set covers it.  probe_signature reads only points, ever_active
+    and skipped; refinement never changes skipped and only adds dimensions
+    and constraints not yet recorded.  So once the log has settled
+    (_FaceLog.settled), no later round can change the report, and
+    refinement stops before the next size or round.
     """
     m = ctx.fs.m
     log = _FaceLog(m, ctx.system.dim, x0)
     _read_hits(ctx, log, pts[ok], vals[ok])
     log.ever_active.update(log.first_hit)
     for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
+        if log.settled():
+            break
         pending = []
         for tup in itertools.combinations(range(m), size):
             if size > 1 and not all(
@@ -1165,7 +1182,7 @@ def _probe_faces(
                 for tup, starts in pending
                 if k < len(starts) and not log.covered(tup)
             ]
-            if not pending:
+            if not pending or log.settled():
                 break
             sols = _gauss_newton_batch(
                 ctx.fs,
@@ -1203,11 +1220,15 @@ def probe_signature(
     by size in start-major rounds: round k solves the k-th start of every
     unresolved tuple in one batch, then the tuples are resolved in order by
     the first start that lands on a feasible point whose active set
-    cross-validates.  Samples whose active set fails cross-validation are
-    skipped and counted, over all blocks, in one warning, and a warning
-    names, by index in `system`, every constraint that was never active at
-    a hit or a refined point; the result is a lower approximation of the
-    signature in the worst case, never an overclaim.
+    cross-validates.  Refinement stops as soon as every dimension 0..n of
+    the block has a point and every constraint has been active, so on a
+    complete template {0..n} whose rays and single-constraint solves find
+    every face no pair is tried.  Samples whose active set fails
+    cross-validation are skipped and counted, over all blocks, in one
+    warning, and a warning names, by index in `system`, every constraint
+    that was never active at a hit or a refined point; the result is a
+    lower approximation of the signature in the worst case, never an
+    overclaim.
     """
     if seed is None:
         seed = DEFAULT_SEED

@@ -86,6 +86,24 @@ def test_verify_rejects_samples_below_one(tmp_path, samples):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["construct", "--signature", "0,2,5", "--decompose", "--budget", "-4"],
+     ["decompose", "--signature", "0,2,5", "--budget", "-1"],
+     ["decompose", "--signature", "0,2,5", "--budget", "x"]],
+)
+def test_negative_budget_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget" in captured.err
+
+
+def test_zero_budget_is_accepted(capsys):
+    assert main(["decompose", "--signature", "0", "--budget", "0"]) == 0
+
+
+@pytest.mark.parametrize(
     "seed_args, env_seed",
     [(["--probe", "--seed", "-1"], None), ([], "abc"), (["--probe"], "-3")],
 )

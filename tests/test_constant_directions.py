@@ -28,6 +28,7 @@ from facetforge.quadratics import (
     QuadraticKind,
     QuadraticSystem,
     classify,
+    constant_direction_dim,
     constant_directions,
     direct_sum,
 )
@@ -152,12 +153,15 @@ def test_constant_directions_of_each_class_are_its_face_directions():
         cls = classify(q)
         assert cls.kind is kind
         space = constant_directions((q,), 3)
+        assert constant_direction_dim((q,), 3) == space.dim
         if cls.face_directions is not None:
             assert space == cls.face_directions
         else:
             assert space.dim == cls.nullity
     pair = constant_directions(_BALL_AND_HALFSPACE.constraints, 2)
     assert pair.dim == 0 and constant_directions((), 2) == full_space(2)
+    assert constant_direction_dim(_BALL_AND_HALFSPACE.constraints, 2) == 0
+    assert constant_direction_dim((), 2) == 2
 
 
 def test_templates_match_reference():

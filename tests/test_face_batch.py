@@ -7,8 +7,10 @@ they called are reference functions taking the context), and both run on
 the same hits: seeded templates, direct sums, every class of single
 quadratic, offset balls, and a ball cut by a halfspace with rays aimed just
 beside the corner, where the claimed face direction fails the +-eps probe.
-Face points, recorded active sets, first hits, ever-active constraints and
-the skipped count must agree exactly.
+Face points, first hits, ever-active constraints and the skipped count
+must agree exactly, and so must the recorded active sets, except that a
+log that settled (every dimension found, every constraint active) stops
+refining and may record only some of the reference's.
 """
 
 import itertools
@@ -176,7 +178,10 @@ def assert_matches_reference(ctx, x0, pts, ok, vals):
     log = _probe_faces(ctx, x0, pts, ok, vals)
     dims, seen, first_hit, skipped, ever_active = reference_faces(ctx, x0, pts, ok, vals)
     assert_same_points(log.points, dims)
-    assert set(log.seen) == seen
+    # Refinement stops once the log settles, so it may record fewer sets.
+    assert set(log.seen) <= seen
+    if not log.settled():
+        assert set(log.seen) == seen
     assert_same_points(log.first_hit, dict(sorted(first_hit.items())))
     assert log.skipped == skipped
     assert log.ever_active == ever_active

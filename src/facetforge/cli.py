@@ -74,21 +74,19 @@ def _parse_signature(text: str) -> Signature:
         raise _InputError(f"bad signature {text!r}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Parser of an integer no smaller than low, usable as an argparse type."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+    return parse
 
 
 def _write_or_print(text: str, out: str | None):
@@ -133,7 +131,7 @@ def _cmd_verify(args) -> int:
     if seed is None:
         env_seed = os.environ.get("FACETFORGE_SEED")
         try:
-            seed = DEFAULT_SEED if env_seed is None else _non_negative_int(env_seed)
+            seed = DEFAULT_SEED if env_seed is None else _int_at_least(0)(env_seed)
         except argparse.ArgumentTypeError as exc:
             raise _InputError(f"bad FACETFORGE_SEED: {exc}") from exc
 
@@ -274,16 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="cylinder parameters as 'c,r'")
     p.add_argument("--decompose", action="store_true", help="search for a "
                    "cheaper sumset decomposition first")
-    p.add_argument("--budget", type=_non_negative_int, help="decomposition search cap")
+    p.add_argument("--budget", type=_int_at_least(0), help="decomposition search cap")
     p.add_argument("--out", help="output system path (plan goes beside it)")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="verify the signature of a system file")
     p.add_argument("system", help="system JSON path")
     p.add_argument("--probe", action="store_true", help="force the sampling path")
-    p.add_argument("--samples", type=_positive_int, default=10000,
+    p.add_argument("--samples", type=_int_at_least(1), default=10000,
                    help="rays per probed block (default 10000)")
-    p.add_argument("--seed", type=_non_negative_int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--expect", help="signature to compare against, e.g. 0,2,3")
     p.set_defaults(func=_cmd_verify)
 
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="minimum-cost sumset decomposition")
     p.add_argument("--signature", required=True)
-    p.add_argument("--budget", type=_non_negative_int, help="search cap on the max element")
+    p.add_argument("--budget", type=_int_at_least(0), help="search cap on the max element")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("export", help="emit SOCP data or an SDPA file")

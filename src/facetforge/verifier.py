@@ -250,51 +250,39 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
-def _rational_sqrt_below(target_sq: Fraction, scale: Fraction | float) -> Fraction:
+def _rational_sqrt_below(target_sq: Fraction, scale: Fraction | int) -> Fraction:
     """Rational t with t^2 slightly below target_sq (gap within tolerance).
 
-    The exact root when target_sq is a rational square.  Otherwise, at each
-    precision p = 2^b, t = k/p for the largest k <= floor(sqrt(target) * p)
-    with k^2 < target * p^2, that is the float guess capped by the integer
-    square root of floor(target * p^2) (no k^2 equals target * p^2, which
-    is not a square).  The first p whose gap target - t^2, times scale, is
-    within 1% of the activity tolerance wins; else the finest.  The gap
-    test multiplies floats, or rationals where float(scale) overflows.
-
-    Where that pick is 0 (the root is below its step) or float(target)
-    underflows or overflows, the integer square root alone is taken at
-    p = 2^48, 2^96, 2^192, ... until k has at least 49 bits (relative gap
-    below 2^-46) and the gap test, done in rationals, passes.
+    The exact root when target_sq is a rational square.  Otherwise every pick
+    at precision p = 2^b is t = k/p with k = isqrt(floor(target * p^2)), the
+    largest k with k^2 < target * p^2 (no k^2 equals it, as target is not a
+    square), and its gap (target - t^2) * scale is tested in rationals
+    against 1% of the activity tolerance.  The first b of 48, 64, 96, 128
+    whose gap passes wins if its k is nonzero; otherwise b doubles from 48
+    until k has at least 49 bits (relative gap below 2^-46) and the gap
+    passes.  A pick whose gap misses the bound is never returned.
     """
     exact = _fraction_sqrt(target_sq)
     if exact is not None:
         return exact
     num, den = target_sq.numerator, target_sq.denominator
-    try:
-        tf = math.sqrt(float(target_sq))
-    except OverflowError:
-        tf = 0.0
-    try:
-        scale_f = float(scale)
-        weight = Fraction(scale_f)
-    except OverflowError:
-        scale_f, weight = None, Fraction(scale)
     bound = Fraction(0.01 * TOL_ACTIVE)
-    if tf > 0:
-        for shift_bits in (48, 64, 96, 128):
-            prec = 1 << shift_bits
-            k = min(math.floor(tf * prec), math.isqrt(num * prec * prec // den))
-            t = Fraction(k, prec)
-            gap = target_sq - t * t
-            if (gap * weight if scale_f is None else float(gap) * scale_f) <= bound:
-                break
-        if k:
-            return t
-    shift_bits = 48
-    while True:
+
+    def pick(shift_bits: int) -> tuple[int, Fraction, bool]:
         k = math.isqrt((num << 2 * shift_bits) // den)
         t = Fraction(k, 1 << shift_bits)
-        if k >> 48 and (target_sq - t * t) * weight <= bound:
+        return k, t, (target_sq - t * t) * scale <= bound
+
+    for shift_bits in (48, 64, 96, 128):
+        k, t, close = pick(shift_bits)
+        if close:
+            if k:
+                return t
+            break
+    shift_bits = 48
+    while True:
+        k, t, close = pick(shift_bits)
+        if close and k >> 48:
             return t
         shift_bits *= 2
 
@@ -304,9 +292,10 @@ def _boundary_point_along(
 ) -> RVector:
     """Point of {f = 0} on the ray from the minimizer along direction.
 
-    Exact when the crossing parameter is a rational square root, otherwise a
-    rational point strictly inside with residual far below the activity
-    tolerance, so the constraint still registers active.
+    The crossing parameter t solves t^2 <Ad, d> = -f(minimizer).  Exact when
+    that t is a rational square root; otherwise _rational_sqrt_below's
+    dyadic t, a point strictly inside with -0.01 * TOL_ACTIVE <= f <= 0, so
+    the constraint still registers active.
     """
     assert cls.minimizer is not None and cls.min_value is not None
     curod = dot(direction, mat_vec(q.nonzeros, direction))
@@ -334,21 +323,20 @@ def _single_constraint_block(
         raise InfeasibleSystem("a constraint admits no solution")
     if kind in (_KIND.SINGLETON, _KIND.AFFINE_SUBSPACE):
         return cls.signature, {cls.nullity: cls.minimizer}
-    if kind is _KIND.HALF_SPACE:
-        norm_sq = dot(q.a, q.a)
-        boundary = vec_scale(-q.alpha / (2 * norm_sq), q.a)
-        interior = vec_scale((-q.alpha - 1) / (2 * norm_sq), q.a)
-        return cls.signature, {n - 1: boundary, n: interior}
     if kind is _KIND.CYLINDER_BALL:
         direction = _cylinder_ball_direction(q)
         boundary = _boundary_point_along(q, cls, direction)
         return cls.signature, {cls.nullity: boundary, n: cls.minimizer}
-    assert kind is _KIND.PARABOLOID_CYLINDER
-    a_null = cls.null_component
-    norm_sq = dot(a_null, a_null)
-    boundary = vec_scale(-q.alpha / (2 * norm_sq), a_null)
-    interior = vec_add(boundary, vec_scale(Fraction(-1, 1) / (2 * norm_sq), a_null))
-    return cls.signature, {cls.nullity - 1: boundary, n: interior}
+    # A half-space or a cylinder over a paraboloid: along v = a (A = 0) or
+    # v = a_N (Av = 0), f(sv) = 2s|v|^2 + alpha, which is 0 at the boundary
+    # point and -1 at the interior one.
+    assert kind in (_KIND.HALF_SPACE, _KIND.PARABOLOID_CYLINDER)
+    v = q.a if kind is _KIND.HALF_SPACE else cls.null_component
+    twice_norm_sq = 2 * dot(v, v)
+    return cls.signature, {
+        cls.proper_face_dim: vec_scale(-q.alpha / twice_norm_sq, v),
+        n: vec_scale((-q.alpha - 1) / twice_norm_sq, v),
+    }
 
 
 def _parse_template_cylinder(q: ConvexQuadratic):
@@ -402,7 +390,7 @@ def _match_ball_cylinder_template(system: QuadraticSystem):
     witnesses: dict[int, RVector] = {d: zero_vector(d), 0: unit_vector(0, d)}
     # Touching point of each cylinder: pivot coordinate just at r - c, which
     # stays strictly inside the ball and the other cylinders.
-    t = _rational_sqrt_below(r_sq, 1.0)
+    t = _rational_sqrt_below(r_sq, 1)
     for idx in indices:
         witnesses[idx] = vec_scale(t - c, unit_vector(idx, d))
     return sig, witnesses

@@ -77,12 +77,23 @@ def test_verify_malformed_input_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_verify_rejects_samples_below_one(tmp_path, samples):
-    path = ball_file(tmp_path)
+def _samples_error(tmp_path, capsys, samples: str) -> str:
     with pytest.raises(SystemExit) as exc:
-        main(["verify", path, "--probe", "--samples", samples])
+        main(["verify", ball_file(tmp_path), "--probe", "--samples", samples])
     assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_samples_below_one(tmp_path, capsys, samples):
+    err = _samples_error(tmp_path, capsys, samples)
+    assert f"argument --samples: must be at least 1, got {samples}" in err
+
+
+def test_verify_rejects_non_integer_samples(tmp_path, capsys):
+    # The same wording as --seed, with no private helper name in it.
+    err = _samples_error(tmp_path, capsys, "abc")
+    assert "argument --samples: expected an integer, got 'abc'" in err
 
 
 @pytest.mark.parametrize(

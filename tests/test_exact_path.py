@@ -4,20 +4,35 @@ Expected signatures come from how each system is built (template theory,
 the seven classes of a single quadratic, sumsets for direct sums), and every
 witness is re-read with minimal_face_dim_at.  The probe path is
 cross-checked against the exact path on the same systems, beyond its own
-acceptance range.
+acceptance range.  The half-space and paraboloid-cylinder witnesses are
+pinned to the two separate branches their shared formula replaced, kept
+here verbatim.
 """
 
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import facetforge
 from facetforge.constructor import realize
-from facetforge.quadratics import ConvexQuadratic, QuadraticSystem, direct_sum
+from facetforge.exact_linalg import dot, vec_add, vec_scale
+from facetforge.quadratics import (
+    ConvexQuadratic,
+    QuadraticKind,
+    QuadraticSystem,
+    classify,
+    direct_sum,
+)
 from facetforge.signatures import Signature, minkowski_sum
-from facetforge.verifier import exact_signature, minimal_face_dim_at, probe_signature
+from facetforge.verifier import (
+    _single_constraint_block,
+    exact_signature,
+    minimal_face_dim_at,
+    probe_signature,
+)
 
 
 def test_witness_check_survives_optimized_python():
@@ -70,6 +85,37 @@ def _class_quadratic(rng, kind, k):
     # Row k-1 of B lies outside the span of rows 0..r-1, the range of A.
     assert kind == "paraboloid"
     return ConvexQuadratic(A=form(r), a=b[k - 1], alpha=0), Signature.of(k - r - 1, k)
+
+
+def _separate_flat_witnesses(q):
+    """The half-space and paraboloid-cylinder witness branches, verbatim."""
+    n = q.dim
+    cls = classify(q)
+    if cls.kind is QuadraticKind.HALF_SPACE:
+        norm_sq = dot(q.a, q.a)
+        boundary = vec_scale(-q.alpha / (2 * norm_sq), q.a)
+        interior = vec_scale((-q.alpha - 1) / (2 * norm_sq), q.a)
+        return {n - 1: boundary, n: interior}
+    assert cls.kind is QuadraticKind.PARABOLOID_CYLINDER
+    a_null = cls.null_component
+    norm_sq = dot(a_null, a_null)
+    boundary = vec_scale(-q.alpha / (2 * norm_sq), a_null)
+    interior = vec_add(boundary, vec_scale(Fraction(-1, 1) / (2 * norm_sq), a_null))
+    return {cls.nullity - 1: boundary, n: interior}
+
+
+def test_flat_witnesses_equal_the_separate_branches():
+    rng = random.Random(1717)
+    for _ in range(60):
+        kind = rng.choice(("halfspace", "paraboloid"))
+        q, sig = _class_quadratic(rng, kind, rng.randint(2, 7))
+        weight = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        alpha = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        q = ConvexQuadratic(A=q.A, a=[weight * e for e in q.a], alpha=alpha)
+        block_sig, witnesses = _single_constraint_block(q)
+        expected = _separate_flat_witnesses(q)
+        assert block_sig == sig
+        assert list(witnesses.items()) == list(expected.items()), q
 
 
 def _cases_up_to_n_16():

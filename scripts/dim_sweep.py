@@ -10,7 +10,8 @@ does not serve the repeats).
 
 Prints one JSON object: for each n (default 8 16 24 32 48 64 96 128) the best wall
 time of 3 calls of each step, in seconds, all in one process, and whether
-the certified signature is {0..n}, decoding the encoded text gives back an
+the certified signature is {0..n}, the encoded text is what
+json.dumps(indent=2, sort_keys=True) writes, decoding it gives back an
 equal system, every witness reads back its own dimension, the probe finds
 {0..n} and the decomposition's cost meets the lower bound.  Each
 minimal_face_dim_at call gets a freshly decoded system, so the
@@ -71,7 +72,10 @@ def main(sizes):
                     "to_json_s": t_to_json, "from_json_s": t_from_json,
                     "minimal_face_dim_at_s": t_dims, "probe_signature_s": t_probe,
                     "decompose_s": t_decompose,
-                    "signature_ok": report.signature == sig, "round_trip_ok": loaded == system,
+                    "signature_ok": report.signature == sig,
+                    "to_json_ok": text == json.dumps(formats.system_to_json(system), indent=2,
+                                                     sort_keys=True) + "\n",
+                    "round_trip_ok": loaded == system,
                     "witness_dims_ok": all(d == k for k, d in dims.items()),
                     "probe_ok": probe.signature == sig,
                     "decompose_ok": tree_cost(tree) == lower_bound(sig).k}

@@ -126,6 +126,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    expected = None if args.expect is None else _parse_signature(args.expect)
     system = _load_system(args.system)
     seed = args.seed
     if seed is None:
@@ -157,20 +158,18 @@ def _cmd_verify(args) -> int:
 
     if infeasible:
         sys.stdout.write(formats.dumps({"infeasible": True, "signature": None}))
-        if args.expect is not None:
+        if expected is not None:
             print("mismatch: system is infeasible", file=sys.stderr)
             return 1
         return 0
 
     sys.stdout.write(formats.dumps(formats.report_to_json(report)))
-    if args.expect is not None:
-        expected = _parse_signature(args.expect)
-        if expected != report.signature:
-            print(
-                f"mismatch: expected {expected}, verified {report.signature}",
-                file=sys.stderr,
-            )
-            return 1
+    if expected is not None and expected != report.signature:
+        print(
+            f"mismatch: expected {expected}, verified {report.signature}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

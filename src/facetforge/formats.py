@@ -2,11 +2,17 @@
 
 Exact rational JSON is the source of truth and round-trips losslessly; the
 conic exports and slice figures are numeric with documented tolerances.
+
+Every JSON payload is written by `dumps` with a 2-space indent, sorted keys
+and ASCII escapes: byte for byte what `json.dumps(data, indent=2,
+sort_keys=True)` writes, plus a final newline.  A system's matrices are
+written from their nonzero rows, every other entry the string "0".
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,8 +61,14 @@ def _vec_from_json(data) -> tuple[Fraction, ...]:
 
 
 def quadratic_to_json(q: ConvexQuadratic) -> dict:
+    zeros = ["0"] * q.dim
+    A = [zeros.copy() for _ in zeros]
+    for i, row in q.nonzeros.items():
+        out = A[i]
+        for j, e in row.items():
+            out[j] = str(e)
     return {
-        "A": [_vec_to_json(row) for row in q.A],
+        "A": A,
         "a": _vec_to_json(q.a),
         "alpha": rational_to_json(q.alpha),
     }
@@ -193,8 +205,95 @@ def report_from_json(data: dict) -> VerificationReport:
     )
 
 
-def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+# Text of every item of a list whose items all have this exact type; floats
+# qualify only when all are finite.
+_LEAF_TEXT = {str: _quote, int: int.__repr__, float: float.__repr__}
+
+
+def _scalar_text(o) -> str | None:
+    """json's text for a str, None, bool, int or float (subclasses too);
+    None for anything else."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _write(o, indent: str, out: list[str]) -> None:
+    """Append json's text of o to out; indent is a newline and o's indent."""
+    text = _scalar_text(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        out.append("[" + inner)
+        kinds = set(map(type, o))
+        leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if leaf is float.__repr__ and not all(map(math.isfinite, o)):
+            leaf = None
+        if leaf is not None:
+            out.append(("," + inner).join(map(leaf, o)))
+        else:
+            for k, item in enumerate(o):
+                if k:
+                    out.append("," + inner)
+                _write(item, inner, out)
+        out.append(indent + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{" + inner)
+        for k, (key, value) in enumerate(sorted(o.items())):
+            if not isinstance(key, str):
+                text = _scalar_text(key)
+                if text is None:
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = text
+            if k:
+                out.append("," + inner)
+            out.append(_quote(key) + ": ")
+            _write(value, inner, out)
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def dumps(data) -> str:
+    """What json.dumps(data, indent=2, sort_keys=True) writes, byte for
+    byte, plus a final newline.
+
+    Items of a list that all share the exact type str, int or finite float
+    are written in one join.
+    """
+    out: list[str] = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,14 @@ def test_verify_mismatch_exit_1(tmp_path, capsys):
     assert json.loads(captured.out)["signature"] == [0, 3]
 
 
+def test_verify_bad_expect_exit_2_before_any_report(tmp_path, capsys):
+    path = ball_file(tmp_path)
+    assert main(["verify", path, "--expect", "0,x,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.startswith("error:") for line in captured.err.splitlines()] == [True]
+
+
 def test_verify_malformed_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")

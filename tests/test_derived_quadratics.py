@@ -228,5 +228,5 @@ def test_system_to_json_matches_the_old_encoder():
                 for n in range(1, 6)]
     for s in systems:
         new = formats.dumps(formats.system_to_json(s))
-        assert new == formats.dumps(reference_system_to_json(s))
+        assert new == json.dumps(reference_system_to_json(s), indent=2, sort_keys=True) + "\n"
         assert formats.system_from_json(json.loads(new)) == s

@@ -5,6 +5,7 @@ export is checked by evaluating both forms at random points; SDPA files are
 parsed back and the declared block sizes compared against the entries.
 """
 
+import enum
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facetforge.constructor import build_ball, default_params, realize
 from facetforge.formats import (
@@ -119,6 +121,71 @@ def test_dumps_is_stable():
     text = dumps({"b": 1, "a": [2]})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+def json_dumps(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
+TEXT = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "a\"b\\c\n"]))
+LEAVES = st.one_of(TEXT, st.integers(), st.booleans(), st.none(), FLOATS,
+                   st.lists(TEXT), st.lists(st.integers()), st.lists(FLOATS))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), FLOATS, st.booleans()), children,
+                        max_size=4),
+        st.dictionaries(st.none(), children),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.recursive(LEAVES, _containers, max_leaves=20))
+def test_dumps_writes_what_json_writes(data):
+    assert dumps(data) == json_dumps(data)
+
+
+class _Int(enum.IntEnum):
+    TWO = 2
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not a float"
+
+
+class _Str(str):
+    pass
+
+
+def test_dumps_follows_json_on_subclasses():
+    data = {"i": [_Int.TWO, _Int.TWO], "f": [_Float(0.5), _Float("nan")],
+            "s": [_Str("x")], _Str("k"): _Float(2.0), "n": {3: _Int.TWO, _Int.TWO: 1}}
+    assert dumps(data) == json_dumps(data)
+
+
+@pytest.mark.parametrize("bad", [F(1, 2), [F(1, 2)], {"a": {1, 2}},
+                                 {"a": 1, 2: "b"}, {(1, 2): 0}])
+def test_dumps_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json_dumps(bad)
+    with pytest.raises(TypeError):
+        dumps(bad)
+
+
+def test_quadratic_rows_do_not_alias():
+    q = ConvexQuadratic(A={1: {1: F(2)}}, a=(F(0), F(1), F(0)), alpha=F(-1))
+    rows = quadratic_to_json(q)["A"]
+    assert rows == [["0", "0", "0"], ["0", "2", "0"], ["0", "0", "0"]]
+    rows[0][2] = "7"
+    assert rows == [["0", "0", "7"], ["0", "2", "0"], ["0", "0", "0"]]
 
 
 def test_socp_matches_quadratics_at_random_points():

@@ -23,7 +23,7 @@ def test_dim_sweep_flags_are_true():
     assert set(sweep) == {"8", "12"}
     for row in sweep.values():
         flags = {k: v for k, v in row.items() if k.endswith("_ok")}
-        assert len(flags) == 5 and all(flags.values()), flags
+        assert len(flags) == 6 and all(flags.values()), flags
 
 
 def test_same_outputs_finds_no_difference_between_equal_trees():

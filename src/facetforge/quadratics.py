@@ -58,10 +58,10 @@ class ConvexQuadratic:
 
     A is given as dense rows or as its nonzero rows {i: {j: A_ij}}; either
     way the field A holds the dense tuple of row tuples that equality,
-    hashing, repr and the JSON codec read, absent entries sharing one
-    Fraction(0).  Construction also keeps `nonzeros`, the nonzero rows of A
-    in index order (rows of zeros left out), which is not a dataclass
-    field; symmetry, the PSD test, evaluation and classification work on it.
+    hashing and repr read, absent entries sharing one Fraction(0).
+    Construction also keeps `nonzeros`, the nonzero rows of A in index
+    order (rows of zeros left out), which is not a dataclass field; symmetry,
+    the PSD test, evaluation, classification and the JSON encoder work on it.
 
     ConvexQuadratic(...) checks the shape, symmetry and positive
     semidefiniteness of A, and so does the JSON loader, which calls it:

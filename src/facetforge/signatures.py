@@ -12,11 +12,17 @@ needs no further search.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 DEFAULT_DECOMPOSE_CAP = 24
+
+# ASCII digit tokens separated by a comma, whitespace or both, inside at
+# most one pair of braces.
+_SIGNATURE_TEXT = re.compile(
+    r"\s*(\{\s*)?(?:[0-9]+(?:(?:\s*,\s*|\s+)[0-9]+)*)?(?(1)\s*\})\s*", re.ASCII)
 
 
 class DecompositionCapExceeded(ValueError):
@@ -44,12 +50,9 @@ class Signature:
     @classmethod
     def from_string(cls, text: str) -> "Signature":
         """Accepts '0,2,3', '{0, 2, 3}' and '0 2 3'."""
-        parts = text.strip().strip("{}").replace(",", " ").split()
-        try:
-            elements = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"cannot parse signature from {text!r}") from exc
-        return cls(elements)
+        if not _SIGNATURE_TEXT.fullmatch(text):
+            raise ValueError(f"cannot parse signature from {text!r}")
+        return cls(tuple(map(int, re.findall("[0-9]+", text))))
 
     def __iter__(self):
         return iter(self.elements)
@@ -206,6 +209,21 @@ def _balanced_product(cost: int, count: int) -> int:
     return (q + 2) ** s * (q + 1) ** (count - s)
 
 
+def _shift_cover(smask: int, imask: int, candidates) -> tuple[list[int], int]:
+    """B, the candidates b with S + b within I, and the mask of S + ({0} | B).
+
+    With all of I's nonzero elements as candidates, S (a mask holding 0) is
+    a summand of I, S + R = I for some R holding 0, iff S + ({0} | B) = I:
+    every such R lies within {0} | B, and {0} | B is one.  A superset of S
+    has a smaller B, so B(S) serves as the candidates for it.
+    """
+    shifts = [b for b in candidates if (smask << b) | imask == imask]
+    cover = smask
+    for b in shifts:
+        cover |= smask << b
+    return shifts, cover
+
+
 def _splits(imask: int, elems: tuple[int, ...]) -> bool:
     """True iff I = A + B with |A|, |B| >= 2 (I given as mask and elements).
 
@@ -214,20 +232,17 @@ def _splits(imask: int, elems: tuple[int, ...]) -> bool:
     the lowest element of I that A + B misses bounds A's next element.
     """
 
-    def grow(amask: int, last: int) -> bool:
-        shifts = [b for b in elems if (amask << b) | imask == imask]
-        if len(shifts) < 2:
+    def grow(amask: int, last: int, candidates) -> bool:
+        shifts, cover = _shift_cover(amask, imask, candidates)
+        if not shifts:
             return False
-        cover = 0
-        for b in shifts:
-            cover |= amask << b
         gap = imask & ~cover
         if not gap:
             return True
         low = (gap & -gap).bit_length() - 1
-        return any(grow(amask | 1 << a, a) for a in elems if last < a <= low)
+        return any(grow(amask | 1 << a, a, shifts) for a in elems if last < a <= low)
 
-    return grow(1 | 1 << elems[1], elems[1])
+    return grow(1 | 1 << elems[1], elems[1], elems[1:])
 
 
 def _first_leaves(imask: int, elems: tuple[int, ...], cost: int, count: int):
@@ -236,37 +251,52 @@ def _first_leaves(imask: int, elems: tuple[int, ...], cost: int, count: int):
     Each leaf holds 0 and at least one more element.  The depth-first search
     picks each leaf's elements in ascending order and tries a leaf before its
     extensions, so it visits the tuples in Python's order and its first hit
-    is the smallest.  S is the sumset of the leaves placed so far.
+    is the smallest.  S is the sumset of the leaves placed so far and T that
+    of S and the leaf being grown.  A branch whose partial sum cannot
+    complete I is cut: the later leaves add a sum within {0} | B(T), B(T) =
+    {b : T + b within I}, so a leaf is placed only when T + B(T) = I, and
+    it grows by e only when I below e lies in T + B(T) already (in T, for
+    the last leaf), as its further elements add only sums of at least e.
     """
     n, size = elems[-1], len(elems)
 
-    def place(S: int, summax: int, r: int, k: int, prev: tuple[int, ...]):
+    def place(S: int, shifts: list[int], summax: int, r: int, k: int,
+              prev: tuple[int, ...]):
         # k leaves of total cost r remain, each >= prev; their maxima sum to
-        # n - summax.
-        shifts = [e for e in elems[1:] if e <= n - summax and (S << e) | imask == imask]
+        # n - summax.  shifts holds the nonzero elements they may use: each b
+        # with S + b within I (from prev[1] on, once a leaf is placed); S
+        # plus them and 0 is I.
         gap = imask & ~S
         lowest_gap = (gap & -gap).bit_length() - 1
         top = r - k + 2  # the largest leaf that leaves the others 2 elements
+
+        def later_cover(leaf: tuple[int, ...], T: int):
+            # _shift_cover of T over what the later leaves' sum can hold: its
+            # nonzero elements are at least leaf[1], as those leaves sort
+            # after this one, and at most n - max T.
+            return _shift_cover(T, imask, shifts[bisect_left(shifts, leaf[1]):
+                                                 bisect_right(shifts, n - summax - leaf[-1])])
 
         def grow(leaf: tuple[int, ...], T: int, tight: bool):
             # T = S + leaf; tight while leaf is a prefix of prev.
             s = len(leaf)
             bounded = tight and s < len(prev)
+            cover = None
             if s >= 2 and not bounded:
                 if k == 1:
                     if s == top and T == imask:
                         return (leaf,)
                 elif (summax + leaf[-1] + (k - 1) * leaf[1] <= n
                       and T.bit_count() * _balanced_product(r - s + 1, k - 1) >= size):
-                    rest = place(T, summax + leaf[-1], r - s + 1, k - 1, leaf)
-                    if rest:
-                        return (leaf,) + rest
+                    later, cover = later_cover(leaf, T)
+                    if cover == imask:
+                        rest = place(T, later, summax + leaf[-1], r - s + 1, k - 1, leaf)
+                        if rest:
+                            return (leaf,) + rest
             if s == top:
                 return None
             lo = prev[s] if bounded else leaf[-1] + 1
-            for e in shifts:
-                if e < lo:
-                    continue
+            for e in shifts[bisect_left(shifts, lo):]:
                 # The lowest element missing from S needs a nonzero summand
                 # from this leaf or a later one.  A later leaf's nonzero
                 # elements, its max among them, are no smaller than this
@@ -276,6 +306,14 @@ def _first_leaves(imask: int, elems: tuple[int, ...], cost: int, count: int):
                         break
                 elif summax + e + (k - 1) * leaf[1] > n:
                     break
+                else:
+                    # I below e must lie in T + B(T) already, or in T after
+                    # the last leaf: this leaf's further elements add only
+                    # sums of at least e.
+                    if cover is None:
+                        cover = T if k == 1 else later_cover(leaf, T)[1]
+                    if imask & ~cover & ((1 << e) - 1):
+                        break
                 found = grow(leaf + (e,), T | S << e, bounded and e == lo)
                 if found:
                     return found
@@ -283,7 +321,7 @@ def _first_leaves(imask: int, elems: tuple[int, ...], cost: int, count: int):
 
         return grow((0,), S, True)
 
-    return place(1, 0, cost, count, (0,))
+    return place(1, list(elems[1:]), 0, cost, count, (0,))
 
 
 @lru_cache(maxsize=512)
@@ -297,8 +335,13 @@ def decompose_min_cost(sig: Signature, budget: int | None = None) -> Decompositi
     from lower_bound(sig).k up to |sig| - 2 and each leaf count, a
     depth-first search looks for the smallest leaf tuple at that level, so
     the first hit is the answer; when none is found the single leaf is.
-    Refuses signatures with max element beyond the budget cap (default 24):
-    the search is exponential by nature.
+    The search cuts every partial sum T that cannot complete sig: with
+    B(T) = {b : T + b within sig}, a leaf is placed only when T + B(T) =
+    sig, and a leaf grows by e only when the elements of sig below e lie in
+    T + B(T) already (in T itself for the last leaf).  Both cuts drop only
+    subtrees that hold no answer, so the visit order and the first hit are
+    unchanged.  Refuses signatures with max element beyond the budget cap
+    (default 24): the search is exponential by nature.
     """
     if sig.min != 0:
         raise ValueError("decompose_min_cost expects a signature with min 0")

@@ -54,8 +54,9 @@ def test_construct_accepts_params_and_rejects_bad_ones(capsys):
 
 
 def test_construct_bad_signature_exit_2(capsys):
-    assert main(["construct", "--signature", "0,x"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for text in ("0,x", "0,,2", "{{0,2}}"):
+        assert main(["construct", "--signature", text]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_verify_mismatch_exit_1(tmp_path, capsys):

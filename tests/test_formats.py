@@ -91,8 +91,13 @@ def test_parse_signature_text_variants():
         parse_signature_text("")
     with pytest.raises(ValueError):
         parse_signature_text("{}")
-    with pytest.raises(ValueError):
-        parse_signature_text("0,x")
+    # Only ASCII digit tokens, separated by a comma, whitespace or both,
+    # inside at most one pair of braces.
+    for text in ("0,x", "0,,2", "0,2,", ",0,2", "0,1_0", "0,\u0663", "0,+3", "0,-2",
+                 "{{0,2}}", "{0,2", "0,2}", "{0}{2}", "0;2"):
+        with pytest.raises(ValueError):
+            parse_signature_text(text)
+    assert parse_signature_text(" { 0 ,2\t3 } ").elements == (0, 2, 3)
 
 
 def test_plan_tree_certificate_round_trips():

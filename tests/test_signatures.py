@@ -5,7 +5,9 @@ descending certificate sequences, and the decomposition search against an
 unoptimized recursive factorizer, both implemented here independently.  The
 decomposition keys are also compared with the memoized cofactor enumeration
 the search replaced (tests/reference_decompose.py), live on every signature
-with max at most 12 and through its recorded keys on larger ones.
+with max at most 12 and through its recorded keys on larger ones, and with
+the key-ordered search before its pruning (tests/reference_key_search.py),
+live on seeded signatures with max 13..24.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import random
 
 import pytest
 import reference_decompose
+import reference_key_search
 
 from facetforge.signatures import (
     DecompositionCapExceeded,
@@ -31,6 +34,7 @@ from facetforge.signatures import (
     tree_cost,
     tree_leaves,
     tree_signature,
+    _shift_cover,
 )
 
 
@@ -252,6 +256,17 @@ def test_decompose_complete_24_pins_its_leaves():
         (0, 1), (0, 2), (0, 3), (0, 6), (0, 12)]
 
 
+def test_decompose_slowest_sweep_signature_at_budget_32():
+    # Without its partial-sum cuts the search takes about 18 s on this
+    # signature (2-core machine), most of it on two-leaf levels of cost
+    # 9..11 that hold no answer; the lower bound is 6.
+    sig = Signature.of(0, 1, *range(3, 8), *range(9, 14), 16, 17, 19, 20, *range(23, 33))
+    tree = decompose_min_cost(sig, budget=32)
+    assert lower_bound(sig).k == 6
+    assert [leaf.elements for leaf in tree_leaves(tree)] == [
+        (0, 1, 6, 7, 13, 20, 23, 25, 26), (0, 3, 4, 6)]
+
+
 def _key(tree):
     leaves = tree_leaves(tree)
     return tree_cost(tree), len(leaves), tuple(leaf.elements for leaf in leaves)
@@ -292,3 +307,34 @@ def test_decompose_keys_match_recorded_reference():
         tree = decompose_min_cost(sig)
         assert tree_signature(tree) == sig
         assert _key(tree)[2] == leaves, sig
+
+
+def test_decompose_keys_match_unpruned_search_on_search_workload_signatures():
+    # The search workload's space: max 13..24, densities 0.4-0.6.
+    reference = reference_key_search.decompose_min_cost.__wrapped__
+    rng = random.Random(13)
+    for _ in range(300):
+        top = rng.randint(13, 24)
+        density = rng.uniform(0.4, 0.6)
+        sig = Signature.of(0, *(e for e in range(1, top) if rng.random() < density), top)
+        assert _key(decompose_min_cost(sig)) == _key(reference(sig)), sig
+
+
+def test_summand_test_matches_brute_force_within_0_to_10():
+    # T is a summand of I (T + R = I for some R holding 0) iff T + B(T) = I,
+    # on every pair T within I within {0..10} that both hold 0.
+    summands = {}
+    for t in range(1, 1 << 11, 2):
+        for r in range(1, 1 << (11 - t.bit_length() + 1), 2):
+            i = 0
+            for b in range(r.bit_length()):
+                if r >> b & 1:
+                    i |= t << b
+            summands.setdefault(i, set()).add(t)
+    for i in range(1, 1 << 11, 2):
+        elems = tuple(e for e in range(11) if i >> e & 1)
+        for t in range(1, i + 1, 2):
+            if t & ~i:
+                continue
+            _, cover = _shift_cover(t, i, elems[1:])
+            assert (cover == i) == (t in summands.get(i, ())), (elems, bin(t))

@@ -38,12 +38,11 @@ def test_same_outputs_finds_no_difference_between_equal_trees():
 
 
 def test_decompose_sweep_reports_every_signature():
-    done = run_script("scripts/decompose_sweep.py", "--lo", "8", "--hi", "10",
-                      "--random", "5", "--limit", "5")
+    done = run_script("scripts/decompose_sweep.py", "--lo", "8", "--hi", "10")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     # Four complete or near-complete signatures per max, then the random ones.
-    assert report["signatures"] == report["finished"] == 3 * 4 + 5
+    assert report["signatures"] == report["finished"] == 3 * 4 + 120
     assert report["budget"] == 10 and report["unfinished"] == []
     assert 0 < report["p50_s"] <= report["p90_s"] <= report["worst"]["seconds"]
     assert report["worst"]["signature"].startswith("{0,")

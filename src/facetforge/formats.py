@@ -503,7 +503,7 @@ def slice_boundary(s: QuadraticSystem, spec: SliceSpec):
 
     thetas = 2.0 * np.pi * np.arange(spec.resolution) / spec.resolution
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    t = plane.ray_exit(center, dirs)
+    t, _ = plane.ray_exit(center, dirs)
     keep = t <= spec.extent
     if not keep.any():
         raise EmptySlice("every ray stayed feasible out to the extent")

@@ -87,6 +87,7 @@ NEWTON_MAX_ITER = 50
 DEFAULT_TUPLE_CAP = 3
 DEFAULT_SAMPLES = 2000
 PROBE_CHUNK = 2048
+ENTRY_BUDGET = 2**15
 
 _KIND = QuadraticKind
 
@@ -486,6 +487,11 @@ def exact_signature(system: QuadraticSystem) -> VerificationReport:
 class _FloatSystem:
     """Float copy of a system: f_j(x) = x^T A_j x + 2 a_j^T x + alpha_j.
 
+    Batches are constraint-major: the forms and values of N points come
+    back as an m x N array, so every reduction over the constraints (the
+    max, the fmin over ray exits, the any over active constraints) runs
+    row by row along the contiguous point axis.
+
     The matrices are held as their nonzero entries, the triples
     A_K[I, J] = V, which come sorted by constraint, then row, then column;
     constraint j's entries are bounds[j]:bounds[j + 1].  A quadratic form
@@ -495,8 +501,9 @@ class _FloatSystem:
     entries are also kept in jagged order: constraints by decreasing entry
     count, and the t-th entries of all constraints with more than t entries
     in one run, so the t-th addition is one slice over a prefix of the
-    constraints.  Batches go PROBE_CHUNK rows at a time, so no temporary
-    holds more than PROBE_CHUNK x nnz entries.
+    constraints.  The forms take a batch ENTRY_BUDGET // nnz points at a
+    time (at least one), so a temporary holds at most max(ENTRY_BUDGET, nnz)
+    entries.
     """
 
     def __init__(self, n: int, K, I, J, V, a: np.ndarray, alpha: np.ndarray):
@@ -546,15 +553,20 @@ class _FloatSystem:
         return acc[self._rank]
 
     def quad_forms(self, pts: np.ndarray) -> np.ndarray:
-        """x^T A_j x for every row x of pts and every constraint j."""
-        out = np.empty((len(pts), self.m))
-        for start in range(0, len(pts), PROBE_CHUNK):
-            p = np.ascontiguousarray(pts[start : start + PROBE_CHUNK].T)
+        """x^T A_j x for every constraint j and every row x of pts: m x len(pts)."""
+        out = np.empty((self.m, len(pts)))
+        per = max(1, ENTRY_BUDGET // max(len(self.V), 1))
+        for start in range(0, len(pts), per):
+            p = np.ascontiguousarray(pts[start : start + per].T)
             terms = p[self._jI]
             terms *= self._jV
             terms *= p[self._jJ]
-            out[start : start + PROBE_CHUNK] = self._sum_jagged(terms).T
+            out[:, start : start + per] = self._sum_jagged(terms)
         return out
+
+    def linear_terms(self, pts: np.ndarray) -> np.ndarray:
+        """2 a_j^T x for every constraint j and every row x of pts: m x len(pts)."""
+        return (2.0 * pts @ self.a.T).T
 
     def products(self, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """A_j x for x = xs[l] and j = rows[l, r]: len(xs) x rows.shape[1] x n.
@@ -594,40 +606,46 @@ class _FloatSystem:
         )
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
-        return self.quad_forms(pts) + 2.0 * pts @ self.a.T + self.alpha
-
-    def max_batch(self, pts: np.ndarray) -> np.ndarray:
-        return self.eval_batch(pts).max(axis=1, initial=-np.inf)
+        """f_j(x) for every constraint j and every row x of pts: m x len(pts)."""
+        f = self.quad_forms(pts)
+        f += self.linear_terms(pts)
+        f += self.alpha[:, None]
+        return f
 
     def eval_point(self, x: np.ndarray) -> np.ndarray:
-        return self.eval_batch(x[None, :])[0]
+        return self.eval_batch(x[None, :])[:, 0]
 
-    def ray_exit(self, x0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Smallest t > 0 per ray at which max_j f_j(x0 + t d) reaches 0.
+    def ray_exit(self, x0: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest t > 0 per ray at which max_j f_j(x0 + t d) reaches 0,
+        with f at x0 + t d, m x len(dirs).
 
         Along a ray f_j is qa t^2 + 2 qb t + qc; its exit is the larger root
         in cancellation-free form.  Recession rays (exit >= GROWTH_LIMIT) get
         inf.  Hits that still evaluate infeasible are pulled back by relative
         steps doubling from 2^-52 until max_j f_j <= 0; past 2^-BACKOFF_FLOOR
-        they get inf too.
+        they get inf too.  Each hit's values are those of the check it
+        passed; a ray with t = inf gets f(x0).
         """
         qa = self.quad_forms(dirs)
-        qb = dirs @ self.half_gradients(x0).T
-        qc = self.eval_point(x0)
+        qb = np.ascontiguousarray((dirs @ self.half_gradients(x0).T).T)
+        qc = self.eval_point(x0)[:, None]
         root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(qb > 0, -qc / (qb + root), (root - qb) / qa)
-        t = np.fmin.reduce(t, axis=1, initial=np.inf)
+        t = np.fmin.reduce(t, axis=0, initial=np.inf)
         t[t >= GROWTH_LIMIT] = np.inf
+        vals = np.repeat(qc, len(dirs), axis=1)
         pending = np.flatnonzero(np.isfinite(t))
         for shift_bits in range(52, BACKOFF_FLOOR, -1):
-            pts = x0 + t[pending, None] * dirs[pending]
-            pending = pending[self.max_batch(pts) > 0.0]
+            f = self.eval_batch(x0 + t[pending, None] * dirs[pending])
+            vals[:, pending] = f
+            pending = pending[f.max(axis=0, initial=-np.inf) > 0.0]
             if not len(pending):
                 break
             t[pending] *= 1.0 - 2.0 ** -shift_bits
         t[pending] = np.inf
-        return t
+        vals[:, pending] = qc
+        return t, vals
 
 
 def interior_point(system: QuadraticSystem) -> np.ndarray:
@@ -725,13 +743,14 @@ def _float_interior(fs: _FloatSystem) -> np.ndarray:
 def _batch_boundary(fs: _FloatSystem, x0: np.ndarray, dirs: np.ndarray):
     """Boundary hit per ray from the closed-form exit of fs.ray_exit.
 
-    Returns (points, hit_mask, values); recession rays come back unmasked
-    with their point at x0.
+    Returns (points, hit_mask, values), values = f(points) as m x len(dirs),
+    read off ray_exit's last feasibility check; recession rays come back
+    unmasked with their point at x0 and their values f(x0).
     """
-    t = fs.ray_exit(x0, dirs)
+    t, vals = fs.ray_exit(x0, dirs)
     hit = np.isfinite(t)
     pts = x0 + np.where(hit, t, 0.0)[:, None] * dirs
-    return pts, hit, fs.eval_batch(pts)
+    return pts, hit, vals
 
 
 def boundary_sample(
@@ -761,9 +780,9 @@ class _DimContext:
     them and the nullity otherwise (constant_direction_dim, a pivot count,
     so no basis is built).
     Direction spaces are cached per active set.  measure_batch groups its
-    points by active set (_group_rows), so each distinct set is looked up
-    once, and runs every point's own +-eps probe through max_batch,
-    PROBE_CHUNK probe points at a time.
+    points by active set (_group_columns), so each distinct set is looked up
+    once, and evaluates every point's own +-eps probes, PROBE_CHUNK probe
+    points at a time.
     """
 
     def __init__(self, system: QuadraticSystem, classes: list[QuadraticClass]):
@@ -801,27 +820,29 @@ class _DimContext:
 
     def measure_batch(
         self, pts: np.ndarray, fvals: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Active sets and face dimensions at the rows of pts, given fvals = f(pts).
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
+        """Active sets and face dimensions at the rows of pts, given
+        fvals = f(pts) as m x len(pts).
 
-        Returns (active, dims): active[i] is the boolean row
-        fvals[i] >= -TOL_ACTIVE, and dims[i] the dimension of the minimal
+        Returns (active, dims, groups): active[:, i] is the boolean column
+        fvals[:, i] >= -TOL_ACTIVE, dims[i] the dimension of the minimal
         face at pts[i], or -1 where the active set fails cross-validation
         (it holds a constraint that failed the check against its class, or
         a claimed face direction exits the set at the +-eps probe from
-        pts[i]).  Raises ValueError when a point is infeasible beyond
-        tolerance.
+        pts[i]), and groups the distinct active sets with their points
+        (_group_columns).  Raises ValueError when a point is infeasible
+        beyond tolerance.
         """
         if fvals.size and float(fvals.max()) > TOL_ACTIVE:
             raise ValueError("point is not feasible within tolerance")
         active = fvals >= -TOL_ACTIVE
         dims = np.full(len(pts), self.system.dim)
-        rows, groups = _group_rows(active)
-        for row, members in zip(rows, groups):
-            if not row.any():
+        groups = _group_columns(active)
+        for act, members in groups:
+            if not act:
                 continue
             try:
-                space, basis = self.direction_space(tuple(np.flatnonzero(row).tolist()))
+                space, basis = self.direction_space(act)
             except ProbeMismatch:
                 dims[members] = -1
                 continue
@@ -832,30 +853,34 @@ class _DimContext:
             per = max(1, PROBE_CHUNK // len(steps))
             for start in range(0, len(members), per):
                 chunk = members[start : start + per]
-                probes = (pts[chunk, None, :] + steps).reshape(-1, pts.shape[1])
-                worst = self.fs.max_batch(probes).reshape(len(chunk), -1).max(axis=1)
+                # step-major, so one reduction down the columns of the m x
+                # (steps x chunk) values takes the worst over both
+                probes = (steps[:, None, :] + pts[chunk]).reshape(-1, pts.shape[1])
+                worst = self.fs.eval_batch(probes).reshape(-1, len(chunk)).max(axis=0)
                 dims[chunk[worst > TOL_ACTIVE]] = -1
-        return active, dims
+        return active, dims, groups
 
 
-def _group_rows(active: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The distinct rows of a boolean matrix and the indices of each one's
-    members, in the order of np.unique(active, axis=0).
+def _group_columns(active: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The distinct columns of a boolean m x N matrix, each as the tuple of
+    its True rows with the indices of the columns equal to it, in the order
+    of np.unique(active.T, axis=0).
 
-    Each row is packed into big-endian 64-bit words, column 0 in the top
-    bit of the first word, so the word tuples sort as the rows do; one
-    lexsort orders them for every column count.
+    Each column is packed into big-endian 64-bit words, row 0 in the top
+    bit of the first word, so the word tuples sort as the columns do; one
+    lexsort orders them for every row count.
     """
-    if not len(active):
-        return active, []
-    packed = np.packbits(active, axis=1)
-    words = np.zeros((len(active), -(-packed.shape[1] // 8) * 8 or 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    keys = words.view(">u8")
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    return active[order[starts]], np.split(order, starts[1:])
+    if not active.shape[1]:
+        return []
+    packed = np.packbits(active, axis=0)
+    words = np.zeros((active.shape[1], -(-len(packed) // 8) * 8 or 8), dtype=np.uint8)
+    words[:, : len(packed)] = packed.T
+    keys = np.ascontiguousarray(words.view(">u8").T)
+    order = np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    starts = np.flatnonzero(np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)])
+    sets = [tuple(np.flatnonzero(col).tolist()) for col in active.T[order[starts]]]
+    return list(zip(sets, np.split(order, starts[1:])))
 
 
 def _dim_context(system: QuadraticSystem) -> _DimContext:
@@ -882,7 +907,7 @@ def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
     pt = np.array([float(e) for e in x], dtype=float)
     if len(pt) != system.dim:
         raise ValueError("point dimension mismatch")
-    _, dims = ctx.measure_batch(pt[None, :], ctx.fs.eval_point(pt)[None, :])
+    _, dims, _ = ctx.measure_batch(pt[None, :], ctx.fs.eval_point(pt)[:, None])
     if dims[0] < 0:
         raise ProbeMismatch(
             "the active set at this point fails cross-validation: it holds "
@@ -1079,19 +1104,22 @@ class _FaceLog:
 
 
 def _read_hits(ctx: _DimContext, log: _FaceLog, pts: np.ndarray, vals: np.ndarray):
-    """Record the faces at boundary hits pts, in ray order, with vals = f(pts).
+    """Record the faces at boundary hits pts, in ray order, with vals = f(pts)
+    as m x len(pts).
 
     Hits with no active constraint are passed over.  A hit whose active set
-    fails cross-validation still counts for first_hit but is skipped.
+    fails cross-validation still counts for first_hit but is skipped; an
+    active set is recorded when one of its hits cross-validates.
     """
-    active, dims = ctx.measure_batch(pts, vals)
-    first = active.argmax(axis=0)
-    log.first_hit.update((int(j), pts[first[j]]) for j in np.flatnonzero(active.any(axis=0)))
-    hit = active.any(axis=1)
+    active, dims, groups = ctx.measure_batch(pts, vals)
+    first = active.argmax(axis=1)
+    log.first_hit.update((int(j), pts[first[j]]) for j in np.flatnonzero(active.any(axis=1)))
+    hit = active.any(axis=0)
     log.skipped += int(np.count_nonzero(hit & (dims < 0)))
+    for act, members in groups:
+        if act and (dims[members] >= 0).any():
+            log.add(frozenset(act))
     good = np.flatnonzero(hit & (dims >= 0))
-    for row in _group_rows(active[good])[0]:
-        log.add(frozenset(np.flatnonzero(row).tolist()))
     found, at = np.unique(dims[good], return_index=True)
     for k in np.argsort(at):
         log.points.setdefault(int(found[k]), pts[good[at[k]]])
@@ -1106,8 +1134,8 @@ def _read_refined(ctx: _DimContext, log: _FaceLog, pending: list, sols: np.ndarr
     """
     valid = np.flatnonzero(~np.isnan(sols[:, 0]))
     fv = ctx.fs.eval_batch(sols[valid])
-    feasible = fv.max(axis=1) <= TOL_ACTIVE
-    active, dims = ctx.measure_batch(sols[valid[feasible]], fv[feasible])
+    feasible = fv.max(axis=0) <= TOL_ACTIVE
+    active, dims, _ = ctx.measure_batch(sols[valid[feasible]], fv[:, feasible])
     row_of = {int(i): r for r, i in enumerate(valid[feasible])}
     unresolved = []
     for i, entry in enumerate(pending):
@@ -1117,7 +1145,7 @@ def _read_refined(ctx: _DimContext, log: _FaceLog, pending: list, sols: np.ndarr
         if r is None:
             unresolved.append(entry)
             continue
-        act = frozenset(np.flatnonzero(active[r]).tolist())
+        act = frozenset(np.flatnonzero(active[:, r]).tolist())
         log.ever_active.update(act)
         if dims[r] < 0:
             unresolved.append(entry)
@@ -1148,7 +1176,7 @@ def _probe_faces(
     """
     m = ctx.fs.m
     log = _FaceLog(m, ctx.system.dim, x0)
-    _read_hits(ctx, log, pts[ok], vals[ok])
+    _read_hits(ctx, log, pts[ok], vals[:, ok])
     log.ever_active.update(log.first_hit)
     for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
         if log.settled():

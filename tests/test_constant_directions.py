@@ -220,10 +220,10 @@ def test_a_planted_wrong_class_marks_its_active_sets(system, bad, monkeypatch):
     true = [classify(q) for q in system.constraints]
     wrong = list(true)
     wrong[bad] = planted(true[bad], system.dim)
-    active, dims = _DimContext(system, true).measure_batch(pts, fvals)
-    got_active, got = _DimContext(system, wrong).measure_batch(pts, fvals)
+    active, dims, _ = _DimContext(system, true).measure_batch(pts, fvals)
+    got_active, got, _ = _DimContext(system, wrong).measure_batch(pts, fvals)
     assert np.array_equal(got_active, active)
-    holds = active[:, bad]
+    holds = active[bad]
     assert holds.any() and (~holds).any() and (dims[holds] >= 0).all()
     assert (got[holds] == -1).all()
     assert np.array_equal(got[~holds], dims[~holds])

@@ -58,7 +58,7 @@ def reference_probe_directions(ctx, x, basis):
     if not len(basis):
         return
     cand = np.concatenate([x + PROBE_EPS * basis, x - PROBE_EPS * basis])
-    worst = float(ctx.fs.max_batch(cand).max())
+    worst = float(ctx.fs.eval_batch(cand).max())
     if worst > TOL_ACTIVE:
         raise ProbeMismatch(
             "a claimed face direction exits the set at the probe step "
@@ -89,7 +89,7 @@ def reference_faces(ctx, x0, pts, ok, vals, refine=True):
     first_hit: dict[int, np.ndarray] = {}
     skipped = 0
     for i in np.flatnonzero(ok):
-        fv = vals[i]
+        fv = vals[:, i]
         active = reference_active_set(fv)
         if not active:
             continue
@@ -168,7 +168,7 @@ def assert_same_points(got, want):
 def assert_matches_reference(ctx, x0, pts, ok, vals):
     """Both stages agree with the reference; returns the reference's skipped count."""
     hits = _FaceLog(ctx.fs.m, ctx.system.dim, x0)
-    _read_hits(ctx, hits, pts[ok], vals[ok])
+    _read_hits(ctx, hits, pts[ok], vals[:, ok])
     dims, seen, first_hit, skipped, _ = reference_faces(ctx, x0, pts, ok, vals, refine=False)
     assert_same_points(hits.points, dims)
     assert set(hits.seen) == seen
@@ -292,10 +292,12 @@ def test_measure_batch_chunks_like_one_batch(monkeypatch):
     ctx = _DimContext(system, _restrict_affine(system)[1])
     x0 = interior_point(system)
     pts, ok, vals = _batch_boundary(ctx.fs, x0, _sampled_directions(4, 500, 3))
-    whole = ctx.measure_batch(pts[ok], vals[ok])
+    whole = ctx.measure_batch(pts[ok], vals[:, ok])
     monkeypatch.setattr("facetforge.verifier.PROBE_CHUNK", 5)
-    chunked = ctx.measure_batch(pts[ok], vals[ok])
+    monkeypatch.setattr("facetforge.verifier.ENTRY_BUDGET", 7)
+    chunked = ctx.measure_batch(pts[ok], vals[:, ok])
     assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
+    assert [s for s, _ in whole[2]] == [s for s, _ in chunked[2]]
 
 
 def test_minimal_face_dim_at_keeps_one_context():

@@ -9,8 +9,9 @@ hypothesis both run on the same systems: PSD Gram matrices with zero rows,
 halfspaces and constant constraints, which have no nonzero entries,
 templates with permuted coordinates, and direct sums of a template with
 such a system.  The two sum in different orders, so values agree to
-rounding, not bit for bit.  _group_rows is compared with the
-np.unique(active, axis=0) grouping it replaced.
+rounding, not bit for bit.  The new kernel's batches are constraint-major
+(m x N), the reference's point-major (N x m).  _group_columns is compared
+with the np.unique(active, axis=0) grouping it replaced.
 """
 
 import itertools
@@ -20,17 +21,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_row_major
 from facetforge.constructor import realize
-from facetforge.quadratics import ConvexQuadratic, QuadraticSystem, direct_sum
+from facetforge.quadratics import ConvexQuadratic, QuadraticSystem, classify, direct_sum
 from facetforge.signatures import Signature
 from facetforge.verifier import (
     BACKOFF_FLOOR,
     GROWTH_LIMIT,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
+    _batch_boundary,
+    _DimContext,
     _FloatSystem,
     _gauss_newton_batch,
-    _group_rows,
+    _group_columns,
     _sampled_directions,
 )
 
@@ -223,15 +227,15 @@ def test_evaluation_matches_dense_reference(system, seed):
     pts = np.random.default_rng(seed).uniform(-3, 3, (40, system.dim))
     pts[::3, ::2] = 0.0
     scale = 1.0 + np.abs(ref.A).max(initial=0) * 9 * system.dim**2
-    _close(fs.eval_batch(pts), ref.eval_batch(pts), scale)
-    _close(fs.max_batch(pts), ref.max_batch(pts), scale)
+    _close(fs.eval_batch(pts).T, ref.eval_batch(pts), scale)
+    _close(fs.eval_batch(pts).max(axis=0, initial=-np.inf), ref.max_batch(pts), scale)
     _close(fs.eval_point(pts[1]), ref.eval_point(pts[1]), scale)
     _close(fs.gradients(pts[1]), ref.gradients(pts[1]), scale)
     for k in range(fs.m):
         np.testing.assert_array_equal(fs.matrix(k), ref.A[k])
     # each constraint's entries are summed in one order, so a row's forms
     # are the same alone as in its batch
-    np.testing.assert_array_equal(fs.quad_forms(pts[5:6]), fs.quad_forms(pts)[5:6])
+    np.testing.assert_array_equal(fs.quad_forms(pts[5:6]), fs.quad_forms(pts)[:, 5:6])
 
 
 @SETTINGS
@@ -240,14 +244,14 @@ def test_ray_exit_matches_dense_reference(system, seed):
     fs, ref = _pair(system)
     x0 = np.zeros(system.dim)
     dirs = _sampled_directions(system.dim, 64, seed)
-    t, t_ref = fs.ray_exit(x0, dirs), ref.ray_exit(x0, dirs)
+    (t, _), t_ref = fs.ray_exit(x0, dirs), ref.ray_exit(x0, dirs)
     np.testing.assert_array_equal(np.isinf(t), np.isinf(t_ref))
     finite = np.isfinite(t)
     np.testing.assert_allclose(t[finite], t_ref[finite], rtol=1e-9)
     # ray_exit pulls each hit back until it evaluates feasible in its own
     # batch; the linear term 2 x^T a goes through a BLAS product, which can
     # round a row differently in another batch
-    assert (fs.max_batch(x0 + t[finite, None] * dirs[finite]) <= 1e-12).all()
+    assert (fs.eval_batch(x0 + t[finite, None] * dirs[finite]) <= 1e-12).all()
 
 
 @SETTINGS
@@ -269,7 +273,7 @@ def test_restrict_matches_dense_reference(system, seed, data):
     _close(plane.a, plane_ref.a, scale)
     _close(plane.alpha, plane_ref.alpha, scale)
     pts = rng.uniform(-2, 2, (20, k))
-    _close(plane.eval_batch(pts), plane_ref.eval_batch(pts), 10 * scale)
+    _close(plane.eval_batch(pts).T, plane_ref.eval_batch(pts), 10 * scale)
 
 
 @SETTINGS
@@ -296,15 +300,85 @@ def test_systems_without_entries_or_constraints():
     fs, ref = _pair(halfspaces)
     assert len(fs.V) == 0
     pts = np.random.default_rng(0).standard_normal((7, 3))
-    np.testing.assert_array_equal(fs.eval_batch(pts), ref.eval_batch(pts))
+    np.testing.assert_array_equal(fs.eval_batch(pts).T, ref.eval_batch(pts))
     np.testing.assert_array_equal(fs.gradients(pts[0]), ref.gradients(pts[0]))
     dirs = _sampled_directions(3, 16, 1)
-    np.testing.assert_array_equal(fs.ray_exit(np.zeros(3), dirs), ref.ray_exit(np.zeros(3), dirs))
+    np.testing.assert_array_equal(fs.ray_exit(np.zeros(3), dirs)[0], ref.ray_exit(np.zeros(3), dirs))
     plane = fs.restrict(pts[0], np.eye(3)[:2])
     assert len(plane.V) == 0 and plane.a.shape == (2, 2)
     empty = _FloatSystem.from_system(QuadraticSystem(dim=2, constraints=()))
-    assert empty.eval_batch(pts[:, :2]).shape == (7, 0)
-    assert np.isinf(empty.ray_exit(np.zeros(2), dirs[:, :2])).all()
+    assert empty.eval_batch(pts[:, :2]).shape == (0, 7)
+    t, vals = empty.ray_exit(np.zeros(2), dirs[:, :2])
+    assert np.isinf(t).all() and vals.shape == (0, 16)
+
+
+# ---------------------------------------------------------------------------
+# Constraint-major batches against the row-major reference
+
+
+@st.composite
+def entryless_systems(draw):
+    """Halfspaces and constants only: no matrix entry, many recession rays."""
+    n = draw(st.integers(1, 4))
+    kind = st.sampled_from(["halfspace", "constant"])
+    cons = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        if draw(kind) == "constant":
+            a = [0] * n
+        cons.append(ConvexQuadratic(A=[[0] * n] * n, a=a, alpha=-draw(st.integers(1, 9))))
+    return QuadraticSystem(dim=n, constraints=cons)
+
+
+@SETTINGS
+@given(st.one_of(systems(), entryless_systems()), st.integers(0, 2**16))
+def test_constraint_major_kernel_matches_row_major_reference(system, seed):
+    fs = _FloatSystem.from_system(system)
+    ref = reference_row_major.RowMajorFloatSystem.from_system(system)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3, 3, (40, system.dim))
+    np.testing.assert_array_equal(fs.quad_forms(pts), ref.quad_forms(pts).T)
+    np.testing.assert_array_equal(fs.eval_batch(pts), ref.eval_batch(pts).T)
+    np.testing.assert_array_equal(fs.eval_point(pts[3]), ref.eval_point(pts[3]))
+
+    x0 = np.zeros(system.dim)
+    dirs = _sampled_directions(system.dim, 64, seed)
+    if system.dim > 1:  # a recession ray of every halfspace and constant
+        dirs[:2, 0], dirs[:2, 1:] = (-1, 1), 0.0
+    t, vals = fs.ray_exit(x0, dirs)
+    np.testing.assert_array_equal(t, ref.ray_exit(x0, dirs))
+    pts, hit, vals = _batch_boundary(fs, x0, dirs)
+    ref_pts, ref_hit, ref_vals = reference_row_major.batch_boundary(ref, x0, dirs)
+    np.testing.assert_array_equal(pts, ref_pts)
+    np.testing.assert_array_equal(hit, ref_hit)
+    # the hit values come from another batch, and the linear term's BLAS
+    # product can round a row differently there
+    np.testing.assert_allclose(vals, ref_vals.T, rtol=1e-12, atol=1e-12)
+
+    ctx = _DimContext(system, [classify(q) for q in system.constraints])
+    active, dims, groups = ctx.measure_batch(pts[hit], vals[:, hit])
+    ref_active, ref_dims = reference_row_major.measure_batch(ctx, ref, ref_pts[hit], ref_vals[hit])
+    np.testing.assert_array_equal(active, ref_active.T)
+    np.testing.assert_array_equal(dims, ref_dims)
+    ref_rows, ref_groups = reference_row_major.group_rows(ref_active)
+    assert [act for act, _ in groups] == [tuple(np.flatnonzero(r)) for r in ref_rows]
+    for (_, members), ref_members in zip(groups, ref_groups):
+        np.testing.assert_array_equal(members, ref_members)
+
+
+@SETTINGS
+@given(st.one_of(systems(), entryless_systems()), st.integers(0, 2**16), st.integers(1, 300))
+def test_quad_forms_is_the_same_at_every_entry_budget(system, seed, rows):
+    fs = _FloatSystem.from_system(system)
+    pts = np.random.default_rng(seed).uniform(-3, 3, (rows, system.dim))
+    largest = int(np.diff(fs.bounds).max(initial=0))
+    budgets = [1, max(1, largest - 1), rows * len(fs.V) + 1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("facetforge.verifier.ENTRY_BUDGET", 2**62)
+        whole = fs.quad_forms(pts)
+        for budget in budgets:
+            patch.setattr("facetforge.verifier.ENTRY_BUDGET", budget)
+            np.testing.assert_array_equal(fs.quad_forms(pts), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +402,9 @@ def test_group_rows_matches_np_unique(m):
         active[3::13, -1] = True  # rows that differ in the last column only
         batches.append(active)
     for active in batches:
-        rows, groups = _group_rows(active)
+        groups = _group_columns(active.T)
         ref_rows, ref_groups = _unique_groups(active)
-        np.testing.assert_array_equal(rows, ref_rows)
+        assert [s for s, _ in groups] == [tuple(np.flatnonzero(r)) for r in ref_rows]
         assert len(groups) == len(ref_groups)
-        for members, ref_members in zip(groups, ref_groups):
+        for (_, members), ref_members in zip(groups, ref_groups):
             np.testing.assert_array_equal(members, ref_members)

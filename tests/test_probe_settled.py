@@ -43,7 +43,7 @@ def reference_probe_faces(
     """_probe_faces as it was before the settled-log exit, verbatim."""
     m = ctx.fs.m
     log = _FaceLog(m, ctx.system.dim, x0)
-    _read_hits(ctx, log, pts[ok], vals[ok])
+    _read_hits(ctx, log, pts[ok], vals[:, ok])
     log.ever_active.update(log.first_hit)
     for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
         pending = []

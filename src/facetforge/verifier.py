@@ -484,6 +484,34 @@ def exact_signature(system: QuadraticSystem) -> VerificationReport:
 # Float machinery shared by the probe path
 
 
+class _Jagged:
+    """Per-constraint sums over entries sorted by constraint K, each
+    constraint's entries added one by one in that order, from 0.0.
+
+    The entries go in jagged order: constraints by decreasing entry count,
+    and the t-th entries of all constraints with more than t entries in one
+    run, so the t-th addition is one slice over a prefix of the constraints.
+    """
+
+    def __init__(self, K: np.ndarray, m: int):
+        bounds = np.searchsorted(K, np.arange(m + 1))
+        self.rank = np.empty(m, dtype=np.intp)
+        self.rank[np.argsort(-np.diff(bounds), kind="stable")] = np.arange(m)
+        position = np.arange(len(K)) - bounds[K]
+        self.order = np.lexsort((self.rank[K], position))
+        self.runs = np.bincount(position).tolist()
+
+    def sum(self, terms: np.ndarray) -> np.ndarray:
+        """Sums of terms given one row per entry, in jagged order:
+        m x terms.shape[1]."""
+        acc = np.zeros((len(self.rank), terms.shape[1]))
+        start = 0
+        for run in self.runs:
+            acc[:run] += terms[start : start + run]
+            start += run
+        return acc[self.rank]
+
+
 class _FloatSystem:
     """Float copy of a system: f_j(x) = x^T A_j x + 2 a_j^T x + alpha_j.
 
@@ -496,14 +524,12 @@ class _FloatSystem:
     A_K[I, J] = V, which come sorted by constraint, then row, then column;
     constraint j's entries are bounds[j]:bounds[j + 1].  A quadratic form
     sums the terms (x_I V) x_J of each constraint one by one in that order,
-    from 0.0, and A_j x sums each row's terms the same way (np.bincount),
-    so neither depends on the batch a point comes in.  For the forms, the
-    entries are also kept in jagged order: constraints by decreasing entry
-    count, and the t-th entries of all constraints with more than t entries
-    in one run, so the t-th addition is one slice over a prefix of the
-    constraints.  The forms take a batch ENTRY_BUDGET // nnz points at a
-    time (at least one), so a temporary holds at most max(ENTRY_BUDGET, nnz)
-    entries.
+    the linear term sums (2 a_jk) x_k over the nonzero a_jk by column (both
+    through _Jagged), and A_j x sums each row's terms the same way
+    (np.bincount).  So a point's f value, like its forms, does not depend
+    on the batch it comes in.  A batch goes through the forms ENTRY_BUDGET
+    // nnz points at a time (at least one), and through the linear term
+    likewise, so a temporary holds at most max(ENTRY_BUDGET, nnz) entries.
     """
 
     def __init__(self, n: int, K, I, J, V, a: np.ndarray, alpha: np.ndarray):
@@ -513,14 +539,13 @@ class _FloatSystem:
         self.m, self.n = len(alpha), n
         self.bounds = np.searchsorted(self.K, np.arange(self.m + 1))
         self._cells = self.K * n + self.I
-        count = np.diff(self.bounds)
-        self._rank = np.empty(self.m, dtype=np.intp)
-        self._rank[np.argsort(-count, kind="stable")] = np.arange(self.m)
-        position = np.arange(len(self.K)) - self.bounds[self.K]
-        jagged = np.lexsort((self._rank[self.K], position))
-        self._jI, self._jJ = self.I[jagged], self.J[jagged]
-        self._jV = self.V[jagged, None]
-        self._runs = np.bincount(position).tolist()
+        self._forms = _Jagged(self.K, self.m)
+        order = self._forms.order
+        self._jI, self._jJ, self._jV = self.I[order], self.J[order], self.V[order, None]
+        aK, aJ = np.nonzero(a)
+        self._linear = _Jagged(aK, self.m)
+        order = self._linear.order
+        self._aJ, self._aV = aJ[order], 2.0 * a[aK[order], aJ[order], None]
 
     @classmethod
     def from_system(cls, system: QuadraticSystem) -> "_FloatSystem":
@@ -542,31 +567,29 @@ class _FloatSystem:
         A[self.I[own], self.J[own]] = self.V[own]
         return A
 
-    def _sum_jagged(self, terms: np.ndarray) -> np.ndarray:
-        """Per-constraint sums of terms given in jagged entry order, one
-        row per entry: m x terms.shape[1]."""
-        acc = np.zeros((self.m, terms.shape[1]))
-        start = 0
-        for run in self._runs:
-            acc[:run] += terms[start : start + run]
-            start += run
-        return acc[self._rank]
+    def _in_chunks(self, pts: np.ndarray, nnz: int, sums) -> np.ndarray:
+        """sums(p) for every row of pts, m x len(pts), where p holds
+        ENTRY_BUDGET // nnz rows of pts at a time (at least one), transposed."""
+        out = np.empty((self.m, len(pts)))
+        per = max(1, ENTRY_BUDGET // max(nnz, 1))
+        for start in range(0, len(pts), per):
+            out[:, start : start + per] = sums(np.ascontiguousarray(pts[start : start + per].T))
+        return out
 
     def quad_forms(self, pts: np.ndarray) -> np.ndarray:
         """x^T A_j x for every constraint j and every row x of pts: m x len(pts)."""
-        out = np.empty((self.m, len(pts)))
-        per = max(1, ENTRY_BUDGET // max(len(self.V), 1))
-        for start in range(0, len(pts), per):
-            p = np.ascontiguousarray(pts[start : start + per].T)
+
+        def sums(p):
             terms = p[self._jI]
             terms *= self._jV
             terms *= p[self._jJ]
-            out[:, start : start + per] = self._sum_jagged(terms)
-        return out
+            return self._forms.sum(terms)
+
+        return self._in_chunks(pts, len(self._jV), sums)
 
     def linear_terms(self, pts: np.ndarray) -> np.ndarray:
         """2 a_j^T x for every constraint j and every row x of pts: m x len(pts)."""
-        return (2.0 * pts @ self.a.T).T
+        return self._in_chunks(pts, len(self._aV), lambda p: self._linear.sum(p[self._aJ] * self._aV))
 
     def products(self, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """A_j x for x = xs[l] and j = rows[l, r]: len(xs) x rows.shape[1] x n.
@@ -597,7 +620,7 @@ class _FloatSystem:
         """The system on the affine space base + U^T p, in coordinates p."""
         k = len(U)
         terms = (U.T[self._jI] * self._jV)[:, :, None] * U.T[self._jJ][:, None, :]
-        image = self._sum_jagged(terms.reshape(-1, k * k)).reshape(self.m, k, k)
+        image = self._forms.sum(terms.reshape(-1, k * k)).reshape(self.m, k, k)
         K, P, Q = np.nonzero(image)
         return _FloatSystem(
             k, K, P, Q, image[K, P, Q],

@@ -233,9 +233,11 @@ def test_evaluation_matches_dense_reference(system, seed):
     _close(fs.gradients(pts[1]), ref.gradients(pts[1]), scale)
     for k in range(fs.m):
         np.testing.assert_array_equal(fs.matrix(k), ref.A[k])
-    # each constraint's entries are summed in one order, so a row's forms
-    # are the same alone as in its batch
+    # each constraint's entries and linear terms are summed in one order,
+    # so a row's forms and values are the same alone as in its batch
     np.testing.assert_array_equal(fs.quad_forms(pts[5:6]), fs.quad_forms(pts)[:, 5:6])
+    np.testing.assert_array_equal(fs.eval_point(pts[5]), fs.eval_batch(pts)[:, 5])
+    np.testing.assert_array_equal(fs.eval_batch(pts[3:17]), fs.eval_batch(pts)[:, 3:17])
 
 
 @SETTINGS
@@ -248,10 +250,9 @@ def test_ray_exit_matches_dense_reference(system, seed):
     np.testing.assert_array_equal(np.isinf(t), np.isinf(t_ref))
     finite = np.isfinite(t)
     np.testing.assert_allclose(t[finite], t_ref[finite], rtol=1e-9)
-    # ray_exit pulls each hit back until it evaluates feasible in its own
-    # batch; the linear term 2 x^T a goes through a BLAS product, which can
-    # round a row differently in another batch
-    assert (fs.eval_batch(x0 + t[finite, None] * dirs[finite]) <= 1e-12).all()
+    # ray_exit pulls each hit back until it evaluates feasible, and a
+    # point's values do not depend on its batch
+    assert (fs.eval_batch(x0 + t[finite, None] * dirs[finite]) <= 0.0).all()
 
 
 @SETTINGS
@@ -351,9 +352,7 @@ def test_constraint_major_kernel_matches_row_major_reference(system, seed):
     ref_pts, ref_hit, ref_vals = reference_row_major.batch_boundary(ref, x0, dirs)
     np.testing.assert_array_equal(pts, ref_pts)
     np.testing.assert_array_equal(hit, ref_hit)
-    # the hit values come from another batch, and the linear term's BLAS
-    # product can round a row differently there
-    np.testing.assert_allclose(vals, ref_vals.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(vals, ref_vals.T)
 
     ctx = _DimContext(system, [classify(q) for q in system.constraints])
     active, dims, groups = ctx.measure_batch(pts[hit], vals[:, hit])
@@ -372,13 +371,14 @@ def test_quad_forms_is_the_same_at_every_entry_budget(system, seed, rows):
     fs = _FloatSystem.from_system(system)
     pts = np.random.default_rng(seed).uniform(-3, 3, (rows, system.dim))
     largest = int(np.diff(fs.bounds).max(initial=0))
-    budgets = [1, max(1, largest - 1), rows * len(fs.V) + 1]
+    budgets = [1, max(1, largest - 1), rows * max(len(fs.V), fs.m * fs.n) + 1]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("facetforge.verifier.ENTRY_BUDGET", 2**62)
-        whole = fs.quad_forms(pts)
+        forms, linear = fs.quad_forms(pts), fs.linear_terms(pts)
         for budget in budgets:
             patch.setattr("facetforge.verifier.ENTRY_BUDGET", budget)
-            np.testing.assert_array_equal(fs.quad_forms(pts), whole)
+            np.testing.assert_array_equal(fs.quad_forms(pts), forms)
+            np.testing.assert_array_equal(fs.linear_terms(pts), linear)
 
 
 # ---------------------------------------------------------------------------

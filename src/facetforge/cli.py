@@ -19,6 +19,7 @@ from . import formats
 from .constructor import ConstructionParams, realize
 from .formats import parse_signature_text
 from .signatures import (
+    DEFAULT_DECOMPOSE_CAP,
     DecompositionCapExceeded,
     Signature,
     decompose_min_cost,
@@ -245,7 +246,7 @@ def _cmd_experiment(args) -> int:
         raise _InputError(f"--k must lie in 1..{PRIMES_MAX_K}")
     sig = Signature.of(0, *_first_primes(args.k))
     direct = realize(sig, use_decomposition=False)
-    decomposed = realize(sig, use_decomposition=True, budget=max(sig.max, 24))
+    decomposed = realize(sig, use_decomposition=True, budget=max(sig.max, DEFAULT_DECOMPOSE_CAP))
     cert = lower_bound(sig)
     print(f"signature: {sig}")
     print(f"direct construction cost: {direct.plan.total_inequalities} "

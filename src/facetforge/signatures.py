@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-DEFAULT_DECOMPOSE_CAP = 24
+DEFAULT_DECOMPOSE_CAP = 32
 
 # ASCII digit tokens separated by a comma, whitespace or both, inside at
 # most one pair of braces.
@@ -341,7 +341,7 @@ def decompose_min_cost(sig: Signature, budget: int | None = None) -> Decompositi
     T + B(T) already (in T itself for the last leaf).  Both cuts drop only
     subtrees that hold no answer, so the visit order and the first hit are
     unchanged.  Refuses signatures with max element beyond the budget cap
-    (default 24): the search is exponential by nature.
+    (default 32): the search is exponential by nature.
     """
     if sig.min != 0:
         raise ValueError("decompose_min_cost expects a signature with min 0")

@@ -201,9 +201,9 @@ def test_decompose_output(capsys):
 
 
 def test_decompose_cap_and_budget(capsys):
-    assert main(["decompose", "--signature", "0,25"]) == 2
+    assert main(["decompose", "--signature", "0,33"]) == 2
     capsys.readouterr()
-    assert main(["decompose", "--signature", "0,25", "--budget", "25"]) == 0
+    assert main(["decompose", "--signature", "0,33", "--budget", "33"]) == 0
 
 
 def test_export_socp_stdout(tmp_path, capsys):

@@ -149,13 +149,13 @@ def test_realize_with_decomposition_saves_inequalities():
 
 
 def test_realize_budget_fallback_warns():
-    sig = Signature.of(0, 25)
+    sig = Signature.of(0, 33)
     result = realize(sig, use_decomposition=True)
     assert len(result.warnings) == 1
     assert "decomposition skipped" in result.warnings[0]
     assert isinstance(result.plan.tree, Leaf)
     assert len(result.system.constraints) == 1
-    unlocked = realize(sig, use_decomposition=True, budget=25)
+    unlocked = realize(sig, use_decomposition=True, budget=33)
     assert unlocked.warnings == ()
 
 

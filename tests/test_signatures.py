@@ -235,10 +235,10 @@ def test_decompose_requires_min_zero_and_honors_cap():
     with pytest.raises(ValueError):
         decompose_min_cost(Signature.of(1, 2))
     with pytest.raises(DecompositionCapExceeded):
-        decompose_min_cost(Signature.of(0, 25))
+        decompose_min_cost(Signature.of(0, 33))
     # raising the budget unlocks the same call
-    assert decompose_min_cost(Signature.of(0, 25), budget=25) == Leaf(
-        Signature.of(0, 25)
+    assert decompose_min_cost(Signature.of(0, 33), budget=33) == Leaf(
+        Signature.of(0, 33)
     )
 
 

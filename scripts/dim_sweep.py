@@ -1,10 +1,14 @@
 """Time the template {0..n} through realize, exact_signature, classify of
 every constraint (the exact core's per-constraint step), JSON encoding
 (system_to_json and formats.dumps), JSON decoding (json.loads and
-system_from_json), minimal_face_dim_at on every exact witness and
-probe_signature (2000 samples, seed 42), and the decomposition search
-decompose_min_cost on {0..n} at budget n (through __wrapped__, so the cache
-does not serve the repeats).
+system_from_json), minimal_face_dim_at on every exact witness,
+probe_signature (2000 samples, seed 42) and its float-kernel layers, and
+the decomposition search decompose_min_cost on {0..n} at budget n (through
+__wrapped__, so the cache does not serve the repeats).  The layers are the
+2000 ray directions (_sampled_directions), their boundary hits from the
+probe's interior point (_batch_boundary) and the face measurement of those
+hits (_DimContext.measure_batch), the last with the context's direction
+spaces already computed, so it times the grouping and the +-eps probes.
 
     PYTHONPATH=src python3 scripts/dim_sweep.py [n ...]
 
@@ -28,7 +32,16 @@ from facetforge import formats
 from facetforge.constructor import realize
 from facetforge.quadratics import classify
 from facetforge.signatures import Signature, decompose_min_cost, lower_bound, tree_cost
-from facetforge.verifier import exact_signature, minimal_face_dim_at, probe_signature
+from facetforge.verifier import (
+    _batch_boundary,
+    _DimContext,
+    _restrict_affine,
+    _sampled_directions,
+    exact_signature,
+    interior_point,
+    minimal_face_dim_at,
+    probe_signature,
+)
 
 REPEATS = 3
 
@@ -66,11 +79,19 @@ def main(sizes):
                                             for d, w in report.witnesses.items()},
                              lambda: _from_json(text))
         probe, t_probe = _best(lambda _: probe_signature(system, 2000, 42))
+        reduced, classes, *_ = _restrict_affine(system)
+        ctx = _DimContext(reduced, classes)
+        x0 = interior_point(reduced)
+        dirs, t_rays = _best(lambda _: _sampled_directions(reduced.dim, 2000, 42))
+        (pts, hit, vals), t_hits = _best(lambda _: _batch_boundary(ctx.fs, x0, dirs))
+        ctx.measure_batch(pts[hit], vals[:, hit])
+        _, t_measure = _best(lambda _: ctx.measure_batch(pts[hit], vals[:, hit]))
         tree, t_decompose = _best(lambda _: decompose_min_cost.__wrapped__(sig, n))
         sweep[n] = {"realize_s": t_realize, "exact_signature_s": t_exact,
                     "classify_s": t_classify,
                     "to_json_s": t_to_json, "from_json_s": t_from_json,
                     "minimal_face_dim_at_s": t_dims, "probe_signature_s": t_probe,
+                    "rays_s": t_rays, "hits_s": t_hits, "measure_s": t_measure,
                     "decompose_s": t_decompose,
                     "signature_ok": report.signature == sig,
                     "to_json_ok": text == json.dumps(formats.system_to_json(system), indent=2,

@@ -31,11 +31,16 @@ resolved silently.
 The probe path works on a float copy of the system that holds each
 constraint's matrix as its nonzero triples (constraint, row, column,
 value), so evaluating a point costs the nonzero entries, not m n^2, and
-each constraint's terms are summed in one fixed order.  Hits are grouped by
-active set through each row's bits packed into 64-bit words.  Ray exits are
-closed-form quadratic roots, pulled back until the hit point evaluates
-feasible.  Tolerances: activity 1e-8, face probe step 1e-6,
-Newton residual 1e-12.  The separation between activity detection and the
+each constraint's quadratic and linear terms are summed in one fixed order,
+so a point's values do not depend on its batch.  A batch of N points
+evaluates to an m x N array, constraint-major, so reductions over the
+constraints run along the contiguous point axis; the forms take
+ENTRY_BUDGET // nnz points at a time, which bounds every temporary by
+entries.  Hits are grouped by active set through each point's column of
+activity bits packed into 64-bit words.  Ray exits are closed-form
+quadratic roots, pulled back until the hit point evaluates feasible, and
+the values of that last check are the hit's values.  Tolerances: activity
+1e-8, face probe step 1e-6, Newton residual 1e-12.  The separation between activity detection and the
 probe step keeps quadratic curvature from masquerading as flatness.
 """
 

@@ -40,8 +40,9 @@ entries.  Hits are grouped by active set through each point's column of
 activity bits packed into 64-bit words.  Ray exits are closed-form
 quadratic roots, pulled back until the hit point evaluates feasible, and
 the values of that last check are the hit's values.  Tolerances: activity
-1e-8, face probe step 1e-6, Newton residual 1e-12.  The separation between activity detection and the
-probe step keeps quadratic curvature from masquerading as flatness.
+1e-8, face probe step 1e-6, Newton residual 1e-12.  The separation between
+activity detection and the probe step keeps quadratic curvature from
+masquerading as flatness.
 """
 
 from __future__ import annotations
@@ -594,7 +595,9 @@ class _FloatSystem:
 
     def linear_terms(self, pts: np.ndarray) -> np.ndarray:
         """2 a_j^T x for every constraint j and every row x of pts: m x len(pts)."""
-        return self._in_chunks(pts, len(self._aV), lambda p: self._linear.sum(p[self._aJ] * self._aV))
+        return self._in_chunks(
+            pts, len(self._aV), lambda p: self._linear.sum(p[self._aJ] * self._aV)
+        )
 
     def products(self, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """A_j x for x = xs[l] and j = rows[l, r]: len(xs) x rows.shape[1] x n.

@@ -304,7 +304,8 @@ def test_systems_without_entries_or_constraints():
     np.testing.assert_array_equal(fs.eval_batch(pts).T, ref.eval_batch(pts))
     np.testing.assert_array_equal(fs.gradients(pts[0]), ref.gradients(pts[0]))
     dirs = _sampled_directions(3, 16, 1)
-    np.testing.assert_array_equal(fs.ray_exit(np.zeros(3), dirs)[0], ref.ray_exit(np.zeros(3), dirs))
+    t, _ = fs.ray_exit(np.zeros(3), dirs)
+    np.testing.assert_array_equal(t, ref.ray_exit(np.zeros(3), dirs))
     plane = fs.restrict(pts[0], np.eye(3)[:2])
     assert len(plane.V) == 0 and plane.a.shape == (2, 2)
     empty = _FloatSystem.from_system(QuadraticSystem(dim=2, constraints=()))

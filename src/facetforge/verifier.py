@@ -665,15 +665,17 @@ class _FloatSystem:
             t = np.where(qb > 0, -qc / (qb + root), (root - qb) / qa)
         t = np.fmin.reduce(t, axis=0, initial=np.inf)
         t[t >= GROWTH_LIMIT] = np.inf
-        vals = np.repeat(qc, len(dirs), axis=1)
-        pending = np.flatnonzero(np.isfinite(t))
-        for shift_bits in range(52, BACKOFF_FLOOR, -1):
-            f = self.eval_batch(x0 + t[pending, None] * dirs[pending])
-            vals[:, pending] = f
-            pending = pending[f.max(axis=0, initial=-np.inf) > 0.0]
+        # the first check takes every ray at once, a recession ray at x0
+        finite = np.isfinite(t)
+        vals = self.eval_batch(x0 + np.where(finite, t, 0.0)[:, None] * dirs)
+        pending = np.flatnonzero(finite & (vals.max(axis=0, initial=-np.inf) > 0.0))
+        for shift_bits in range(52, BACKOFF_FLOOR + 1, -1):
             if not len(pending):
                 break
             t[pending] *= 1.0 - 2.0 ** -shift_bits
+            f = self.eval_batch(x0 + t[pending, None] * dirs[pending])
+            vals[:, pending] = f
+            pending = pending[f.max(axis=0, initial=-np.inf) > 0.0]
         t[pending] = np.inf
         vals[:, pending] = qc
         return t, vals

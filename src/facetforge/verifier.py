@@ -501,21 +501,23 @@ class _Jagged:
 
     def __init__(self, K: np.ndarray, m: int):
         bounds = np.searchsorted(K, np.arange(m + 1))
-        self.rank = np.empty(m, dtype=np.intp)
-        self.rank[np.argsort(-np.diff(bounds), kind="stable")] = np.arange(m)
+        rank = np.empty(m, dtype=np.intp)
+        rank[np.argsort(-np.diff(bounds), kind="stable")] = np.arange(m)
         position = np.arange(len(K)) - bounds[K]
-        self.order = np.lexsort((self.rank[K], position))
+        self.m, self.order = m, np.lexsort((rank[K], position))
         self.runs = np.bincount(position).tolist()
+        # None when the constraints already come by decreasing entry count
+        self.rank = None if (rank == np.arange(m)).all() else rank
 
     def sum(self, terms: np.ndarray) -> np.ndarray:
         """Sums of terms given one row per entry, in jagged order:
         m x terms.shape[1]."""
-        acc = np.zeros((len(self.rank), terms.shape[1]))
+        acc = np.zeros((self.m, terms.shape[1]))
         start = 0
         for run in self.runs:
             acc[:run] += terms[start : start + run]
             start += run
-        return acc[self.rank]
+        return acc if self.rank is None else acc[self.rank]
 
 
 class _FloatSystem:
@@ -576,8 +578,10 @@ class _FloatSystem:
     def _in_chunks(self, pts: np.ndarray, nnz: int, sums) -> np.ndarray:
         """sums(p) for every row of pts, m x len(pts), where p holds
         ENTRY_BUDGET // nnz rows of pts at a time (at least one), transposed."""
-        out = np.empty((self.m, len(pts)))
         per = max(1, ENTRY_BUDGET // max(nnz, 1))
+        if len(pts) <= per:
+            return sums(np.ascontiguousarray(pts.T))
+        out = np.empty((self.m, len(pts)))
         for start in range(0, len(pts), per):
             out[:, start : start + per] = sums(np.ascontiguousarray(pts[start : start + per].T))
         return out
@@ -715,7 +719,7 @@ def _float_interior(fs: _FloatSystem) -> np.ndarray:
     if len(candidates) > 2:
         candidates.append(np.mean(candidates[1:], axis=0))
 
-    worst = [float(fs.eval_point(c).max()) for c in candidates]
+    worst = fs.eval_batch(np.array(candidates)).max(axis=0).tolist()
     feasible = [k for k, val in enumerate(worst) if val < 0]
     if feasible:
         return candidates[min(feasible, key=lambda k: abs(math.log10(-worst[k])))]

@@ -34,15 +34,15 @@ value), so evaluating a point costs the nonzero entries, not m n^2, and
 each constraint's quadratic and linear terms are summed in one fixed order,
 so a point's values do not depend on its batch.  A batch of N points
 evaluates to an m x N array, constraint-major, so reductions over the
-constraints run along the contiguous point axis; the forms take
-ENTRY_BUDGET // nnz points at a time, which bounds every temporary by
-entries.  Hits are grouped by active set through each point's column of
-activity bits packed into 64-bit words.  Ray exits are closed-form
-quadratic roots, pulled back until the hit point evaluates feasible, and
-the values of that last check are the hit's values.  Tolerances: activity
-1e-8, face probe step 1e-6, Newton residual 1e-12.  The separation between
-activity detection and the probe step keeps quadratic curvature from
-masquerading as flatness.
+constraints run along the contiguous point axis; a batch goes
+ENTRY_BUDGET // max(m, n) points at a time and each run of terms is
+gathered on its own, which bounds every temporary by entries.  Hits are
+grouped by active set through each point's column of activity bits packed
+into 64-bit words.  Ray exits are closed-form quadratic roots, pulled back
+until the hit point evaluates feasible, and the values of that last check
+are the hit's values.  Tolerances: activity 1e-8, face probe step 1e-6,
+Newton residual 1e-12.  The separation between activity detection and the
+probe step keeps quadratic curvature from masquerading as flatness.
 """
 
 from __future__ import annotations
@@ -494,9 +494,10 @@ class _Jagged:
     """Per-constraint sums over entries sorted by constraint K, each
     constraint's entries added one by one in that order, from 0.0.
 
-    The entries go in jagged order: constraints by decreasing entry count,
-    and the t-th entries of all constraints with more than t entries in one
-    run, so the t-th addition is one slice over a prefix of the constraints.
+    The entries go in jagged order (entry order[e] goes e-th): constraints
+    by decreasing entry count, and the t-th entries of all constraints with
+    more than t entries in one run, so the t-th addition is one slice over
+    a prefix of the constraints.
     """
 
     def __init__(self, K: np.ndarray, m: int):
@@ -509,13 +510,13 @@ class _Jagged:
         # None when the constraints already come by decreasing entry count
         self.rank = None if (rank == np.arange(m)).all() else rank
 
-    def sum(self, terms: np.ndarray) -> np.ndarray:
-        """Sums of terms given one row per entry, in jagged order:
-        m x terms.shape[1]."""
-        acc = np.zeros((self.m, terms.shape[1]))
+    def sum(self, terms, width: int) -> np.ndarray:
+        """Sums of terms, m x width, where terms(s) gives the terms of the
+        jagged entries s (one run), one row of width each."""
+        acc = np.zeros((self.m, width))
         start = 0
         for run in self.runs:
-            acc[:run] += terms[start : start + run]
+            acc[:run] += terms(slice(start, start + run))
             start += run
         return acc if self.rank is None else acc[self.rank]
 
@@ -535,9 +536,10 @@ class _FloatSystem:
     the linear term sums (2 a_jk) x_k over the nonzero a_jk by column (both
     through _Jagged), and A_j x sums each row's terms the same way
     (np.bincount).  So a point's f value, like its forms, does not depend
-    on the batch it comes in.  A batch goes through the forms ENTRY_BUDGET
-    // nnz points at a time (at least one), and through the linear term
-    likewise, so a temporary holds at most max(ENTRY_BUDGET, nnz) entries.
+    on the batch it comes in.  A batch goes ENTRY_BUDGET // max(m, n)
+    points at a time (at least one), and each run of terms is gathered on
+    its own, so no temporary holds more than max(ENTRY_BUDGET, m, n)
+    entries, whatever the number of nonzeros.
     """
 
     def __init__(self, n: int, K, I, J, V, a: np.ndarray, alpha: np.ndarray):
@@ -575,10 +577,11 @@ class _FloatSystem:
         A[self.I[own], self.J[own]] = self.V[own]
         return A
 
-    def _in_chunks(self, pts: np.ndarray, nnz: int, sums) -> np.ndarray:
+    def _in_chunks(self, pts: np.ndarray, sums) -> np.ndarray:
         """sums(p) for every row of pts, m x len(pts), where p holds
-        ENTRY_BUDGET // nnz rows of pts at a time (at least one), transposed."""
-        per = max(1, ENTRY_BUDGET // max(nnz, 1))
+        ENTRY_BUDGET // max(m, n) rows of pts at a time (at least one),
+        transposed."""
+        per = max(1, ENTRY_BUDGET // max(self.m, self.n, 1))
         if len(pts) <= per:
             return sums(np.ascontiguousarray(pts.T))
         out = np.empty((self.m, len(pts)))
@@ -590,17 +593,20 @@ class _FloatSystem:
         """x^T A_j x for every constraint j and every row x of pts: m x len(pts)."""
 
         def sums(p):
-            terms = p[self._jI]
-            terms *= self._jV
-            terms *= p[self._jJ]
-            return self._forms.sum(terms)
+            def terms(s):
+                t = p[self._jI[s]]
+                t *= self._jV[s]
+                t *= p[self._jJ[s]]
+                return t
 
-        return self._in_chunks(pts, len(self._jV), sums)
+            return self._forms.sum(terms, p.shape[1])
+
+        return self._in_chunks(pts, sums)
 
     def linear_terms(self, pts: np.ndarray) -> np.ndarray:
         """2 a_j^T x for every constraint j and every row x of pts: m x len(pts)."""
         return self._in_chunks(
-            pts, len(self._aV), lambda p: self._linear.sum(p[self._aJ] * self._aV)
+            pts, lambda p: self._linear.sum(lambda s: p[self._aJ[s]] * self._aV[s], p.shape[1])
         )
 
     def products(self, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -632,7 +638,8 @@ class _FloatSystem:
         """The system on the affine space base + U^T p, in coordinates p."""
         k = len(U)
         terms = (U.T[self._jI] * self._jV)[:, :, None] * U.T[self._jJ][:, None, :]
-        image = self._forms.sum(terms.reshape(-1, k * k)).reshape(self.m, k, k)
+        image = self._forms.sum(terms.reshape(-1, k * k).__getitem__, k * k)
+        image = image.reshape(self.m, k, k)
         K, P, Q = np.nonzero(image)
         return _FloatSystem(
             k, K, P, Q, image[K, P, Q],

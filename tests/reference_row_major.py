@@ -8,7 +8,7 @@ every hit a second time, and measure_batch grouped rows with _group_rows.
 They are kept here verbatim, apart from the linear term 2 a^T x, which
 comes from the same helper as the new kernel's (_FloatSystem.linear_terms),
 so that both evaluate a point to the same bits, and the per-constraint sum,
-which is now _FloatSystem._forms.sum.
+which is now _FloatSystem._forms.sum over the terms of every entry.
 """
 
 import numpy as np
@@ -35,7 +35,8 @@ class RowMajorFloatSystem(_FloatSystem):
             terms = p[self._jI]
             terms *= self._jV
             terms *= p[self._jJ]
-            out[start : start + PROBE_CHUNK] = self._forms.sum(terms).T
+            sums = self._forms.sum(terms.__getitem__, p.shape[1])
+            out[start : start + PROBE_CHUNK] = sums.T
         return out
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:

@@ -372,7 +372,7 @@ def test_quad_forms_is_the_same_at_every_entry_budget(system, seed, rows):
     fs = _FloatSystem.from_system(system)
     pts = np.random.default_rng(seed).uniform(-3, 3, (rows, system.dim))
     largest = int(np.diff(fs.bounds).max(initial=0))
-    budgets = [1, max(1, largest - 1), rows * max(len(fs.V), fs.m * fs.n) + 1]
+    budgets = [1, max(1, largest - 1), 3 * max(fs.m, fs.n), rows * max(len(fs.V), fs.m * fs.n) + 1]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("facetforge.verifier.ENTRY_BUDGET", 2**62)
         forms, linear = fs.quad_forms(pts), fs.linear_terms(pts)

@@ -35,8 +35,8 @@ each constraint's quadratic and linear terms are summed in one fixed order,
 so a point's values do not depend on its batch.  A batch of N points
 evaluates to an m x N array, constraint-major, so reductions over the
 constraints run along the contiguous point axis; a batch goes
-ENTRY_BUDGET // max(m, n) points at a time and each run of terms is
-gathered on its own, which bounds every temporary by entries.  Hits are
+ENTRY_BUDGET // max(m, n) points at a time and terms are gathered a block
+of whole runs at a time, which bounds every temporary by entries.  Hits are
 grouped by active set through each point's column of activity bits packed
 into 64-bit words.  Ray exits are closed-form quadratic roots, pulled back
 until the hit point evaluates feasible, and the values of that last check
@@ -47,6 +47,7 @@ probe step keeps quadratic curvature from masquerading as flatness.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -507,17 +508,24 @@ class _Jagged:
         position = np.arange(len(K)) - bounds[K]
         self.m, self.order = m, np.lexsort((rank[K], position))
         self.runs = np.bincount(position).tolist()
+        self.starts = [0, *itertools.accumulate(self.runs)]
         # None when the constraints already come by decreasing entry count
         self.rank = None if (rank == np.arange(m)).all() else rank
 
     def sum(self, terms, width: int) -> np.ndarray:
         """Sums of terms, m x width, where terms(s) gives the terms of the
-        jagged entries s (one run), one row of width each."""
+        jagged entries s, one row of width each.  It is asked for whole runs
+        at a time, as many as hold at most ENTRY_BUDGET // width entries
+        (one run at least)."""
         acc = np.zeros((self.m, width))
-        start = 0
-        for run in self.runs:
-            acc[:run] += terms(slice(start, start + run))
-            start += run
+        starts, i = self.starts, 0
+        while i < len(self.runs):
+            take = ENTRY_BUDGET // max(width, 1)
+            j = max(i + 1, bisect.bisect_right(starts, starts[i] + take) - 1)
+            block = terms(slice(starts[i], starts[j]))
+            for r in range(i, j):
+                acc[: self.runs[r]] += block[starts[r] - starts[i] : starts[r + 1] - starts[i]]
+            i = j
         return acc if self.rank is None else acc[self.rank]
 
 
@@ -537,9 +545,9 @@ class _FloatSystem:
     through _Jagged), and A_j x sums each row's terms the same way
     (np.bincount).  So a point's f value, like its forms, does not depend
     on the batch it comes in.  A batch goes ENTRY_BUDGET // max(m, n)
-    points at a time (at least one), and each run of terms is gathered on
-    its own, so no temporary holds more than max(ENTRY_BUDGET, m, n)
-    entries, whatever the number of nonzeros.
+    points at a time (at least one), and terms are gathered a block of
+    whole runs at a time, so no temporary holds more than
+    max(ENTRY_BUDGET, m, n) entries, whatever the number of nonzeros.
     """
 
     def __init__(self, n: int, K, I, J, V, a: np.ndarray, alpha: np.ndarray):

@@ -518,9 +518,8 @@ class _Jagged:
         at a time, as many as hold at most ENTRY_BUDGET // width entries
         (one run at least)."""
         acc = np.zeros((self.m, width))
-        starts, i = self.starts, 0
+        starts, take, i = self.starts, ENTRY_BUDGET // max(width, 1), 0
         while i < len(self.runs):
-            take = ENTRY_BUDGET // max(width, 1)
             j = max(i + 1, bisect.bisect_right(starts, starts[i] + take) - 1)
             block = terms(slice(starts[i], starts[j]))
             for r in range(i, j):

@@ -54,9 +54,9 @@ def _vec_to_json(vec) -> list[str]:
     return [rational_to_json(e) for e in vec]
 
 
-def _vec_from_json(data) -> tuple[Fraction, ...]:
+def _vec_from_json(data, field: str) -> tuple[Fraction, ...]:
     if not isinstance(data, list):
-        raise ValueError("expected a list of rationals")
+        raise ValueError(f"{field} must be a list of rationals")
     return tuple(rational_from_json(e) for e in data)
 
 
@@ -75,11 +75,13 @@ def quadratic_to_json(q: ConvexQuadratic) -> dict:
 
 
 def quadratic_from_json(data: dict) -> ConvexQuadratic:
-    if not isinstance(data, dict) or set(data) - {"A", "a", "alpha"}:
-        raise ValueError("constraint must be an object with keys A, a, alpha")
+    if not isinstance(data, dict) or set(data) != {"A", "a", "alpha"}:
+        raise ValueError("constraint must be an object with exactly the keys A, a, alpha")
+    if not isinstance(data["A"], list):
+        raise ValueError("A must be a list of rows")
     return ConvexQuadratic(
-        A=tuple(_vec_from_json(row) for row in data["A"]),
-        a=_vec_from_json(data["a"]),
+        A=tuple(_vec_from_json(row, "each row of A") for row in data["A"]),
+        a=_vec_from_json(data["a"], "a"),
         alpha=rational_from_json(data["alpha"]),
     )
 
@@ -100,11 +102,15 @@ def system_from_json(data: dict) -> QuadraticSystem:
     dim = data["dim"]
     if type(dim) is not int:
         raise ValueError(f"dim must be an integer: {dim!r}")
+    if not isinstance(data["constraints"], list):
+        raise ValueError("constraints must be a list")
     witness = data.get("interior_witness")
     return QuadraticSystem(
         dim=dim,
         constraints=tuple(quadratic_from_json(c) for c in data["constraints"]),
-        interior_witness=None if witness is None else _vec_from_json(witness),
+        interior_witness=None
+        if witness is None
+        else _vec_from_json(witness, "interior_witness"),
     )
 
 

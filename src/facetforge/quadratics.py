@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .exact_linalg import (
     _ZERO,
-    RMatrix,
     RVector,
     SparseRows,
     Subspace,
@@ -44,24 +43,16 @@ from .exact_linalg import (
 from .signatures import Signature
 
 
-def _dense(rows: SparseRows, n: int) -> RMatrix:
-    """The n x n matrix with nonzero rows `rows` as dense row tuples, absent
-    entries sharing one Fraction(0)."""
-    zero = (_ZERO,) * n
-    return tuple(tuple(map(rows[i].get, range(n), zero)) if i in rows else zero
-                 for i in range(n))
-
-
 @dataclass(frozen=True)
 class ConvexQuadratic:
     """One inequality <Ax,x> + 2<a,x> + alpha <= 0 with A symmetric PSD.
 
     A is given as dense rows or as its nonzero rows {i: {j: A_ij}}; either
-    way the field A holds the dense tuple of row tuples that equality,
-    hashing and repr read, absent entries sharing one Fraction(0).
-    Construction also keeps `nonzeros`, the nonzero rows of A in index
-    order (rows of zeros left out), which is not a dataclass field; symmetry,
-    the PSD test, evaluation, classification and the JSON encoder work on it.
+    way the field A holds the nonzero rows, rows and columns in ascending
+    order with Fraction entries and rows of zeros left out.  `nonzeros` is
+    the same dict under the name the kernels read.  Equality compares the
+    dicts, so it ignores how the input was ordered or typed, and the hash
+    reads the nonzero entries as a set; both cost O(nnz), not O(n^2).
 
     ConvexQuadratic(...) checks the shape, symmetry and positive
     semidefiniteness of A, and so does the JSON loader, which calls it:
@@ -71,7 +62,7 @@ class ConvexQuadratic:
     checks and builds the same fields.
     """
 
-    A: RMatrix
+    A: SparseRows
     a: RVector
     alpha: Fraction
 
@@ -84,37 +75,43 @@ class ConvexQuadratic:
                     for i, row in sorted(self.A.items()) if any(row.values())}
             if any(not 0 <= k < n for i, row in rows.items() for k in (i, *row)):
                 raise ValueError("matrix shape does not match the linear term")
-            A = _dense(rows, n)
         else:
             A = rmatrix(self.A)
             if len(A) != n or any(len(row) != n for row in A):
                 raise ValueError("matrix shape does not match the linear term")
             rows = sparse_rows(A)
-        self._fill(A, rows, a, self.alpha)
+        self._fill(rows, a, self.alpha)
         if not is_symmetric(rows):
             raise ValueError("quadratic form matrix must be symmetric")
         ok, _ = psd_ldlt(rows, n)
         if not ok:
             raise ValueError("quadratic form matrix is not positive semidefinite")
 
-    def _fill(self, A: RMatrix, rows: SparseRows, a: RVector, alpha):
-        for name, value in (("A", A), ("a", a), ("alpha", Fraction(alpha)),
-                            ("nonzeros", rows)):
+    def _fill(self, rows: SparseRows, a: RVector, alpha):
+        for name, value in (("A", rows), ("a", a), ("alpha", Fraction(alpha))):
             object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        entries = frozenset((i, j, e) for i, row in self.A.items() for j, e in row.items())
+        return hash((entries, self.a, self.alpha))
 
     @classmethod
     def _psd_by_construction(cls, rows: SparseRows, a, alpha) -> ConvexQuadratic:
         """The quadratic with nonzero rows `rows`, without the checks.
 
-        rows must be the nonzero rows, in index order with Fraction entries,
-        of a matrix that is symmetric PSD because of how it was derived from
-        a checked one (a zero-padded copy, a principal submatrix, B^T A B);
-        every index lies below len(a).
+        rows must be the nonzero rows of a matrix that is symmetric PSD
+        because of how it was derived from a checked one (a zero-padded
+        copy, a principal submatrix, B^T A B): rows and the columns within
+        each row in ascending order, Fraction entries, and every index below
+        len(a).  The dict is kept as the field A, not copied.
         """
         q = object.__new__(cls)
-        a = rvector(a)
-        q._fill(_dense(rows, len(a)), rows, a, alpha)
+        q._fill(rows, rvector(a), alpha)
         return q
+
+    @property
+    def nonzeros(self) -> SparseRows:
+        return self.A
 
     @property
     def dim(self) -> int:

@@ -84,6 +84,24 @@ def test_verify_malformed_input_exit_2(tmp_path, capsys):
     schema.write_text('{"dim": 2}')
     assert main(["verify", str(schema)]) == 2
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    # Each message names the field at fault.
+    ok = {"A": [["1"]], "a": ["0"], "alpha": "-1"}
+    for constraints, message in [
+        ([{"a": ["0"], "alpha": "-1"}], "exactly the keys A, a, alpha"),
+        ([{**ok, "b": 1}], "exactly the keys A, a, alpha"),
+        ([{**ok, "A": 5}], "A must be a list of rows"),
+        ([{**ok, "A": [5]}], "each row of A must be a list"),
+        ([{**ok, "a": "0"}], "a must be a list"),
+        (5, "constraints must be a list"),
+    ]:
+        schema.write_text(json.dumps({"dim": 1, "constraints": constraints}))
+        assert main(["verify", str(schema)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+    schema.write_text(json.dumps({"dim": 1, "constraints": [ok], "interior_witness": 3}))
+    assert main(["verify", str(schema)]) == 2
+    assert "interior_witness must be a list" in capsys.readouterr().err
 
 
 def _samples_error(tmp_path, capsys, samples: str) -> str:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_form import dense
 from facetforge.constructor import (
     ConstructionParams,
     ExposingHalfspace,
@@ -60,7 +61,7 @@ def test_params_validation():
 
 def test_build_ball_frozen():
     q = build_ball(2)
-    assert q.A == ((F(1), F(0)), (F(0), F(1)))
+    assert dense(q) == ((F(1), F(0)), (F(0), F(1)))
     assert q.a == (F(0), F(0))
     assert q.alpha == F(-1)
     cls = classify(q)
@@ -72,7 +73,7 @@ def test_build_ball_frozen():
 
 def test_build_cylinder_frozen():
     q = build_cylinder(1, 3, default_params())
-    assert q.A == (
+    assert dense(q) == (
         (F(0), F(0), F(0)),
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
@@ -110,7 +111,7 @@ def test_complete_dyadic_blocks():
     # block k is a unit ball on coordinates 2^k - 1 .. 2^(k+1) - 2
     supports = []
     for q in system.constraints:
-        diag = tuple(j for j in range(7) if q.A[j][j] != 0)
+        diag = tuple(j for j in range(7) if dense(q)[j][j] != 0)
         assert q.alpha == F(-1)
         supports.append(diag)
     assert supports == [(0,), (1, 2), (3, 4, 5, 6)]
@@ -131,7 +132,7 @@ def test_realize_direct_shift_and_support():
     assert result.warnings == ()
     # free coordinates sit last: constraints only touch the leading block
     for q in system.constraints:
-        assert all(q.A[i][j] == 0 for i in range(5) for j in range(5) if max(i, j) >= 3)
+        assert all(dense(q)[i][j] == 0 for i in range(5) for j in range(5) if max(i, j) >= 3)
         assert all(q.a[j] == 0 for j in range(3, 5))
 
 

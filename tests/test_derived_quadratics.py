@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_form import dense
 from facetforge import formats
 from facetforge.constructor import build_ball, build_cylinder, default_params, realize
 from facetforge.quadratics import (
@@ -70,9 +71,9 @@ def random_psd(rng: random.Random, n: int) -> ConvexQuadratic:
 def permuted(system: QuadraticSystem, perm) -> QuadraticSystem:
     """The system in coordinates y with y_k = x_perm[k], built publicly."""
     cons = tuple(
-        ConvexQuadratic(A=[[q.A[i][j] for j in perm] for i in perm],
+        ConvexQuadratic(A=[[A[i][j] for j in perm] for i in perm],
                         a=[q.a[i] for i in perm], alpha=q.alpha)
-        for q in system.constraints
+        for q in system.constraints for A in (dense(q),)
     )
     w = system.interior_witness
     return QuadraticSystem(system.dim, cons, None if w is None else [w[i] for i in perm])
@@ -203,7 +204,7 @@ def reference_system_to_json(s: QuadraticSystem) -> dict:
     return {
         "dim": s.dim,
         "constraints": [
-            {"A": [vec(row) for row in q.A], "a": vec(q.a),
+            {"A": [vec(row) for row in dense(q)], "a": vec(q.a),
              "alpha": reference_rational_to_json(q.alpha)}
             for q in s.constraints
         ],

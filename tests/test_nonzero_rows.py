@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_form import dense
 from facetforge.constructor import (
     build_ball,
     build_cylinder,
@@ -37,7 +38,7 @@ def reference_parse_template_cylinder(q: ConvexQuadratic):
     n = q.dim
     if any(j != i for i, row in q.nonzeros.items() for j in row):
         return None
-    diag = [q.A[i][i] for i in range(n)]
+    diag = [dense(q)[i][i] for i in range(n)]
     try:
         idx = diag.index(Fraction(1))
     except ValueError:
@@ -71,10 +72,10 @@ def reference_embed(q: ConvexQuadratic, target_dim: int, offset: int) -> ConvexQ
     n, d = target_dim, q.dim
     if offset < 0 or offset + d > n:
         raise ValueError("embedding window does not fit the target dimension")
-    rows = []
+    A, rows = dense(q), []
     for i in range(n):
         if offset <= i < offset + d:
-            src = q.A[i - offset]
+            src = A[i - offset]
             rows.append(
                 (Fraction(0),) * offset + tuple(src) + (Fraction(0),) * (n - offset - d)
             )
@@ -85,7 +86,8 @@ def reference_embed(q: ConvexQuadratic, target_dim: int, offset: int) -> ConvexQ
 
 
 def reference_restrict_constraint(q: ConvexQuadratic, idx: tuple[int, ...]) -> ConvexQuadratic:
-    rows = tuple(tuple(q.A[i][j] for j in idx) for i in idx)
+    A = dense(q)
+    rows = tuple(tuple(A[i][j] for j in idx) for i in idx)
     return ConvexQuadratic(A=rows, a=tuple(q.a[i] for i in idx), alpha=q.alpha)
 
 
@@ -141,7 +143,7 @@ def template_cases(seed=1011):
             if n - index >= 2:
                 i, j = rng.sample(range(index, n), 2)
                 cyl = _cylinder(n, index, c, r_sq)
-                rows = [list(row) for row in cyl.A]
+                rows = [list(row) for row in dense(cyl)]
                 rows[i][j] = rows[j][i] = F(1, 3)
                 cases.append(ConvexQuadratic(A=tuple(map(tuple, rows)), a=cyl.a,
                                              alpha=cyl.alpha))
@@ -269,19 +271,17 @@ def test_restrict_constraint_matches_the_dense_restriction():
 def test_quadratic_from_nonzero_rows_equals_the_dense_quadratic():
     rng = random.Random(1015)
     for _ in range(200):
-        dense = random_quadratic(rng, rng.randint(1, 6))
-        n = dense.dim
+        expected = random_quadratic(rng, rng.randint(1, 6))
+        n, A = expected.dim, dense(expected)
         # Unsorted keys, explicit zeros, empty rows and int entries are all
         # normalized away.
         rows = {}
         for i in rng.sample(range(n), n):
-            row = {j: dense.A[i][j] for j in rng.sample(range(n), n) if rng.random() < 0.7
-                   or dense.A[i][j]}
+            row = {j: A[i][j] for j in rng.sample(range(n), n) if rng.random() < 0.7
+                   or A[i][j]}
             rows[i] = {j: int(e) if e.denominator == 1 else e for j, e in row.items()}
-        q = ConvexQuadratic(A=rows, a=dense.a, alpha=dense.alpha)
-        _same(q, dense)
-        # Absent entries share one Fraction(0).
-        assert len({id(e) for row in q.A for e in row if not e}) <= 1
+        q = ConvexQuadratic(A=rows, a=expected.a, alpha=expected.alpha)
+        _same(q, expected)
 
 
 def test_nonzero_rows_outside_the_matrix_are_rejected():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import facetforge.verifier as verifier
+from dense_form import dense
 from facetforge.constructor import realize
 from facetforge.quadratics import ConvexQuadratic, QuadraticKind, QuadraticSystem, direct_sum
 from facetforge.signatures import Signature
@@ -78,9 +79,9 @@ def shuffled(system: QuadraticSystem, rng: random.Random) -> QuadraticSystem:
     """The same set with coordinates relabelled and constraints reordered."""
     perm = rng.sample(range(system.dim), system.dim)
     cons = [
-        ConvexQuadratic(A=[[q.A[i][j] for j in perm] for i in perm],
+        ConvexQuadratic(A=[[A[i][j] for j in perm] for i in perm],
                         a=[q.a[i] for i in perm], alpha=q.alpha)
-        for q in system.constraints
+        for q in system.constraints for A in (dense(q),)
     ]
     rng.shuffle(cons)
     w = system.interior_witness

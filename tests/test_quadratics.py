@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_form import dense
 from facetforge import exact_linalg
 from facetforge.exact_linalg import (
     dot,
@@ -121,8 +122,6 @@ def test_classify_is_one_reduction_over_nonzero_rows(monkeypatch, A, a, alpha, k
     q = ConvexQuadratic(A=A, a=a, alpha=alpha)
     expected = classify(q)
     assert expected.kind is kind
-    # Classification reads the nonzero rows only, never the dense field.
-    object.__setattr__(q, "A", None)
     calls = []
     rref = exact_linalg._rref
 
@@ -229,8 +228,9 @@ def test_embed_places_block():
     q = ball(2)
     e = embed(q, target_dim=4, offset=1)
     assert e.dim == 4
-    assert e.A[1][1] == 1 and e.A[2][2] == 1
-    assert e.A[0][0] == 0 and e.A[3][3] == 0
+    A = dense(e)
+    assert A[1][1] == 1 and A[2][2] == 1
+    assert A[0][0] == 0 and A[3][3] == 0
     assert evaluate(e, (F(9), F(0), F(0), F(9))) == evaluate(q, (F(0), F(0)))
 
 

@@ -14,6 +14,7 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
+from dense_form import dense
 from facetforge.exact_linalg import (
     Subspace,
     _rref,
@@ -230,11 +231,12 @@ def reference_classify(q):
             proper_face_dim=n - 1,
             face_directions=dirs,
         )
-    null = null_space_basis(q.A)
+    A = dense(q)
+    null = null_space_basis(A)
     m = null.dim
     a_null = project_onto(q.a, null)
     if any(e != 0 for e in a_null):
-        dirs = null_space_basis(q.A + (q.a,))
+        dirs = null_space_basis(A + (q.a,))
         return QuadraticClass(
             QuadraticKind.PARABOLOID_CYLINDER,
             m,
@@ -243,7 +245,7 @@ def reference_classify(q):
             face_directions=dirs,
             null_component=a_null,
         )
-    x0 = solve_linear(q.A, vec_scale(-1, q.a))
+    x0 = solve_linear(A, vec_scale(-1, q.a))
     assert x0 is not None  # a has no null component, so a lies in range(A)
     v_min = q.alpha + dot(q.a, x0)
     if v_min > 0:

@@ -3,15 +3,19 @@
 psd_ldlt and is_symmetric are compared with the dense elimination they
 replaced, kept here verbatim as the reference; evaluate is compared with
 the dense formula <Ax, x> + 2<a, x> + alpha, and mat_vec of nonzero rows
-with mat_vec of the dense rows.  Hypothesis runs derandomized,
-so every run draws the same examples.
+with mat_vec of the dense rows.  A matrix given as dense rows or as nonzero
+rows in any order, with int or Fraction entries, must give quadratics that
+compare, hash and print equal.  Hypothesis runs derandomized, so every run
+draws the same examples.
 """
 
 import dataclasses
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_form import dense
 from facetforge.exact_linalg import (
     dot,
     is_symmetric,
@@ -139,7 +143,7 @@ def quadratics_and_points(draw):
 
 
 def _dense_value(q, x):
-    return dot(x, mat_vec(q.A, x)) + 2 * dot(q.a, x) + q.alpha
+    return dot(x, mat_vec(dense(q), x)) + 2 * dot(q.a, x) + q.alpha
 
 
 @SETTINGS
@@ -147,7 +151,7 @@ def _dense_value(q, x):
 def test_mat_vec_of_nonzero_rows_matches_dense(case):
     q, x = case
     product = mat_vec(q.nonzeros, x)
-    assert product == mat_vec(q.A, x)
+    assert product == mat_vec(dense(q), x)
     assert all(type(e) is Fraction for e in product)
 
 
@@ -167,14 +171,44 @@ def test_evaluate_matches_dense_formula(case):
     # The float point is an exact rational; scale the tolerance by the size
     # of the terms, since they can cancel.
     xr = tuple(F(e) for e in xf)
-    n = q.dim
+    n, A = q.dim, dense(q)
     scale = abs(q.alpha) + sum(
-        abs(q.A[i][j] * xr[i] * xr[j]) for i in range(n) for j in range(n)
+        abs(A[i][j] * xr[i] * xr[j]) for i in range(n) for j in range(n)
     ) + 2 * sum(abs(q.a[i] * xr[i]) for i in range(n))
     assert abs(F(value) - _dense_value(q, xr)) <= F(1e-12) * max(scale, 1)
 
 
-def test_nonzero_index_is_invisible():
+@st.composite
+def one_matrix_in_two_forms(draw):
+    """A PSD matrix c B^T B as dense rows, and as nonzero rows {i: {j: e}}.
+
+    The dict form lists its rows and each row's columns in a shuffled order,
+    holds explicit zeros and empty rows, and writes integral entries as int
+    or Fraction at random; the dense form mixes int and Fraction too.
+    """
+    n = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    b = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(draw(st.integers(0, 3)))]
+    scale = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    m = [[scale * e for e in row] for row in _gram(b, n)]
+
+    def either(e):
+        return int(e) if e.denominator == 1 and draw(st.booleans()) else e
+
+    dense_rows = [[either(e) for e in row] for row in m]
+    rows = {}
+    for i in draw(st.permutations(range(n))):
+        cols = [j for j in draw(st.permutations(range(n))) if m[i][j] or draw(st.booleans())]
+        if cols or draw(st.booleans()):
+            rows[i] = {j: either(m[i][j]) for j in cols}
+    ratio = st.builds(F, st.integers(-20, 20), st.integers(1, 7))
+    a = draw(st.lists(ratio, min_size=n, max_size=n))
+    return dense_rows, rows, a, draw(ratio)
+
+
+@SETTINGS
+@given(one_matrix_in_two_forms())
+def test_nonzero_index_is_invisible(case):
     ints = ConvexQuadratic(A=((2, 0, 1), (0, 0, 0), (1, 0, 1)), a=(0, 1, 0), alpha=-3)
     fracs = ConvexQuadratic(
         A=tuple(tuple(F(e) for e in row) for row in ((2, 0, 1), (0, 0, 0), (1, 0, 1))),
@@ -187,3 +221,33 @@ def test_nonzero_index_is_invisible():
     assert [f.name for f in dataclasses.fields(ConvexQuadratic)] == ["A", "a", "alpha"]
     assert ints.nonzeros == {0: {0: 2, 2: 1}, 2: {0: 1, 2: 1}}
     assert dataclasses.replace(ints, alpha=-4).nonzeros == ints.nonzeros
+
+    dense_rows, rows, a, alpha = case
+    n = len(a)
+    from_dense = ConvexQuadratic(A=dense_rows, a=a, alpha=alpha)
+    from_rows = ConvexQuadratic(A=rows, a=tuple(int(e) if e.denominator == 1 else e for e in a),
+                                alpha=alpha)
+    same = [from_dense, from_rows, dataclasses.replace(from_rows),
+            ConvexQuadratic(A=from_dense.A, a=from_dense.a, alpha=from_dense.alpha)]
+    for q in same:
+        assert q == from_dense
+        assert hash(q) == hash(from_dense)
+        assert repr(q) == repr(from_dense)
+        assert q.A is q.nonzeros
+        assert list(q.A) == sorted(q.A)
+        assert all(list(row) == sorted(row) and all(type(e) is Fraction and e for e in row.values())
+                   for row in q.A.values())
+    assert from_dense.A == sparse_rows(rmatrix(dense_rows))
+    moved = dataclasses.replace(from_rows, alpha=alpha - 1)
+    assert moved != from_rows and moved.A == from_rows.A and moved.alpha == alpha - 1
+
+    # Malformed rows are still rejected: an index outside the matrix, an
+    # asymmetric matrix and one that is not PSD.
+    row = from_dense.A.get(0, {})
+    bad = [({**from_dense.A, n: {n: 1}}, "shape"),
+           ({**from_dense.A, 0: {**row, 0: F(-1)}}, "positive semidefinite")]
+    if n > 1:
+        bad.append(({**from_dense.A, 0: {**row, 1: row.get(1, 0) + 1}}, "symmetric"))
+    for rows, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ConvexQuadratic(A=rows, a=a, alpha=alpha)

@@ -7,8 +7,7 @@ the three near-complete ones {0..L} without 1, L//2 or L-1, then RANDOM_COUNT
 signatures drawn from Random(SEED): each has a max L in lo..hi, holds 0
 and L, and holds every element in between with a probability drawn from
 0.2..0.95.  Each signature runs once through decompose_min_cost at budget
-hi (through __wrapped__, so the cache serves nothing), under a SIGALRM
-limit of LIMIT_S seconds.
+hi, under a SIGALRM limit of LIMIT_S seconds.
 
 Prints one JSON object: the sweep's size, how many finished, the median and
 90th percentile of the finished signatures' wall times (nearest rank), the
@@ -69,7 +68,7 @@ def main(argv=None) -> None:
         start = time.perf_counter()
         signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
         try:
-            decompose_min_cost.__wrapped__(sig, args.hi)
+            decompose_min_cost(sig, args.hi)
         except _OverLimit:
             unfinished.append(str(sig))
             continue

@@ -3,12 +3,12 @@ every constraint (the exact core's per-constraint step), JSON encoding
 (system_to_json and formats.dumps), JSON decoding (json.loads and
 system_from_json), minimal_face_dim_at on every exact witness,
 probe_signature (2000 samples, seed 42) and its float-kernel layers, and
-the decomposition search decompose_min_cost on {0..n} at budget n (through
-__wrapped__, so the cache does not serve the repeats).  The layers are the
-2000 ray directions (_sampled_directions), their boundary hits from the
-probe's interior point (_batch_boundary) and the face measurement of those
-hits (_DimContext.measure_batch), the last with the context's direction
-spaces already computed, so it times the grouping and the +-eps probes.
+the decomposition search decompose_min_cost on {0..n} at budget n.  The
+layers are the 2000 ray directions (_sampled_directions), their boundary
+hits from the probe's interior point (_batch_boundary) and the face
+measurement of those hits (_DimContext.measure_batch), the last with the
+context's direction spaces already computed, so it times the grouping and
+the +-eps probes.
 
     PYTHONPATH=src python3 scripts/dim_sweep.py [n ...]
 
@@ -86,7 +86,7 @@ def main(sizes):
         (pts, hit, vals), t_hits = _best(lambda _: _batch_boundary(ctx.fs, x0, dirs))
         ctx.measure_batch(pts[hit], vals[:, hit])
         _, t_measure = _best(lambda _: ctx.measure_batch(pts[hit], vals[:, hit]))
-        tree, t_decompose = _best(lambda _: decompose_min_cost.__wrapped__(sig, n))
+        tree, t_decompose = _best(lambda _: decompose_min_cost(sig, n))
         sweep[n] = {"realize_s": t_realize, "exact_signature_s": t_exact,
                     "classify_s": t_classify,
                     "to_json_s": t_to_json, "from_json_s": t_from_json,

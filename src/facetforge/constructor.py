@@ -229,5 +229,5 @@ def exposing_halfspace(
     if evaluate(cylinder, point) != 0:
         raise ValueError("point does not lie on the cylinder boundary")
     # Half the cylinder's gradient at the point.
-    normal = vec_add(mat_vec(cylinder.nonzeros, point), cylinder.a)
+    normal = vec_add(mat_vec(cylinder.A, point), cylinder.a)
     return ExposingHalfspace(normal=normal, offset=dot(normal, point))

@@ -63,7 +63,7 @@ def _vec_from_json(data, field: str) -> tuple[Fraction, ...]:
 def quadratic_to_json(q: ConvexQuadratic) -> dict:
     zeros = ["0"] * q.dim
     A = [zeros.copy() for _ in zeros]
-    for i, row in q.nonzeros.items():
+    for i, row in q.A.items():
         out = A[i]
         for j, e in row.items():
             out[j] = str(e)

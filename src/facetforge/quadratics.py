@@ -49,10 +49,10 @@ class ConvexQuadratic:
 
     A is given as dense rows or as its nonzero rows {i: {j: A_ij}}; either
     way the field A holds the nonzero rows, rows and columns in ascending
-    order with Fraction entries and rows of zeros left out.  `nonzeros` is
-    the same dict under the name the kernels read.  Equality compares the
-    dicts, so it ignores how the input was ordered or typed, and the hash
-    reads the nonzero entries as a set; both cost O(nnz), not O(n^2).
+    order with Fraction entries and rows of zeros left out, and every kernel
+    reads that dict.  Equality compares the dicts, so it ignores how the
+    input was ordered or typed, and the hash reads the nonzero entries as a
+    set; both cost O(nnz), not O(n^2).
 
     ConvexQuadratic(...) checks the shape, symmetry and positive
     semidefiniteness of A, and so does the JSON loader, which calls it:
@@ -70,11 +70,7 @@ class ConvexQuadratic:
         a = rvector(self.a)
         n = len(a)
         if isinstance(self.A, dict):
-            rows = {i: {j: e if type(e) is Fraction else Fraction(e)
-                        for j, e in sorted(row.items()) if e}
-                    for i, row in sorted(self.A.items()) if any(row.values())}
-            if any(not 0 <= k < n for i, row in rows.items() for k in (i, *row)):
-                raise ValueError("matrix shape does not match the linear term")
+            rows = _rows_from_dict(self.A, n)
         else:
             A = rmatrix(self.A)
             if len(A) != n or any(len(row) != n for row in A):
@@ -110,12 +106,33 @@ class ConvexQuadratic:
         return q
 
     @property
-    def nonzeros(self) -> SparseRows:
-        return self.A
-
-    @property
     def dim(self) -> int:
         return len(self.a)
+
+
+def _rows_from_dict(A: dict, n: int) -> SparseRows:
+    """The nonzero rows of the n x n matrix A = {i: {j: A_ij}}.
+
+    Rows must be dicts and indices ints (not bool) in 0..n-1; each entry is
+    made a Fraction before the zeros are dropped, so an entry that is not a
+    number is refused rather than read as zero.
+    """
+    rows = {}
+    for i, row in A.items():
+        if not isinstance(row, dict):
+            raise ValueError(f"matrix row {i!r} is not a dict {{j: A_ij}}")
+        for k in (i, *row):
+            if type(k) is not int:
+                raise ValueError(f"matrix index {k!r} is not an int")
+            if not 0 <= k < n:
+                raise ValueError("matrix shape does not match the linear term")
+        try:
+            values = rvector(row.values())
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"matrix row {i} holds an entry that is not a number: {exc}") from None
+        if nonzero := {j: e for j, e in sorted(zip(row, values)) if e}:
+            rows[i] = nonzero
+    return dict(sorted(rows.items()))
 
 
 def evaluate(q: ConvexQuadratic, x) -> Fraction | float:
@@ -130,7 +147,7 @@ def evaluate(q: ConvexQuadratic, x) -> Fraction | float:
     # f(x) = alpha + sum_i x_i (sum_j A_ij x_j + 2 a_i), over nonzero x_i.
     for i, xi in enumerate(x):
         if xi:
-            row = q.nonzeros.get(i, {})
+            row = q.A.get(i, {})
             total += xi * (sum(e * x[j] for j, e in row.items()) + 2 * q.a[i])
     return total
 
@@ -185,14 +202,14 @@ def constant_direction_dim(constraints, n: int) -> int:
 def _direction_rows(constraints) -> tuple:
     rows = []
     for q in constraints:
-        rows.extend(q.nonzeros.values())
+        rows.extend(q.A.values())
         rows.append(q.a)
     return tuple(rows)
 
 
 def classify(q: ConvexQuadratic) -> QuadraticClass:
     n = q.dim
-    if not q.nonzeros:
+    if not q.A:
         if all(e == 0 for e in q.a):
             if q.alpha > 0:
                 return QuadraticClass(QuadraticKind.EMPTY, n, None)
@@ -206,8 +223,8 @@ def classify(q: ConvexQuadratic) -> QuadraticClass:
             proper_face_dim=n - 1,
             face_directions=constant_directions((q,), n),
         )
-    rows = tuple({**q.nonzeros.get(i, {}), n: e} if e else q.nonzeros[i]
-                 for i, e in enumerate(q.a) if e or i in q.nonzeros)
+    rows = tuple({**q.A.get(i, {}), n: e} if e else q.A[i]
+                 for i, e in enumerate(q.a) if e or i in q.A)
     basis = null_space_basis(rows, n + 1).basis
     x0 = basis[-1][:n] if basis and basis[-1][n] else None
     null = Subspace._independent(n, tuple(b[:n] for b in basis if not b[n]))
@@ -286,7 +303,7 @@ def embed(q: ConvexQuadratic, target_dim: int, offset: int) -> ConvexQuadratic:
         raise ValueError("embedding window does not fit the target dimension")
     rows = {
         offset + i: {offset + j: e for j, e in row.items()}
-        for i, row in q.nonzeros.items()
+        for i, row in q.A.items()
     }
     a = (_ZERO,) * offset + q.a + (_ZERO,) * (n - offset - d)
     # A zero-padded copy of a PSD matrix is PSD.

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 DEFAULT_DECOMPOSE_CAP = 32
 
@@ -324,7 +323,6 @@ def _first_leaves(imask: int, elems: tuple[int, ...], cost: int, count: int):
     return place(1, list(elems[1:]), 0, cost, count, (0,))
 
 
-@lru_cache(maxsize=512)
 def decompose_min_cost(sig: Signature, budget: int | None = None) -> DecompositionTree:
     """Minimum-cost sumset factorization of sig (cost = sum of |leaf|-1).
 

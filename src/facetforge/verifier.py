@@ -93,7 +93,6 @@ DEFAULT_SEED = 42
 NEWTON_MAX_ITER = 50
 DEFAULT_TUPLE_CAP = 3
 DEFAULT_SAMPLES = 2000
-PROBE_CHUNK = 2048
 ENTRY_BUDGET = 2**15
 
 _KIND = QuadraticKind
@@ -172,7 +171,7 @@ class BlockSplit:
 
 
 def _support(q: ConvexQuadratic) -> set[int]:
-    return {i for i, e in enumerate(q.a) if e}.union(q.nonzeros)
+    return {i for i, e in enumerate(q.a) if e}.union(q.A)
 
 
 def _restrict_constraint(q: ConvexQuadratic, idx: tuple[int, ...]) -> ConvexQuadratic:
@@ -180,7 +179,7 @@ def _restrict_constraint(q: ConvexQuadratic, idx: tuple[int, ...]) -> ConvexQuad
     # its positive diagonal entry, and sorted idx keeps the index order.
     pos = {k: p for p, k in enumerate(idx)}
     rows = {pos[i]: {pos[j]: e for j, e in row.items() if j in pos}
-            for i, row in q.nonzeros.items() if i in pos}
+            for i, row in q.A.items() if i in pos}
     return ConvexQuadratic._psd_by_construction(rows, tuple(q.a[i] for i in idx), q.alpha)
 
 
@@ -306,7 +305,7 @@ def _boundary_point_along(
     the constraint still registers active.
     """
     assert cls.minimizer is not None and cls.min_value is not None
-    curod = dot(direction, mat_vec(q.nonzeros, direction))
+    curod = dot(direction, mat_vec(q.A, direction))
     assert curod > 0
     ratio = -cls.min_value / curod
     t = _rational_sqrt_below(ratio, curod)
@@ -315,7 +314,7 @@ def _boundary_point_along(
 
 def _cylinder_ball_direction(q: ConvexQuadratic) -> RVector:
     # Some diagonal entry of a nonzero PSD matrix is positive.
-    for i, row in q.nonzeros.items():
+    for i, row in q.A.items():
         if row.get(i, 0) > 0:
             return unit_vector(i, q.dim)
     raise AssertionError("nonzero PSD matrix with zero diagonal")
@@ -349,8 +348,8 @@ def _single_constraint_block(
 
 def _parse_template_cylinder(q: ConvexQuadratic):
     """(index, c, r_squared) when q matches the centered cylinder shape."""
-    idx = min(q.nonzeros, default=0)
-    if not 1 <= idx <= q.dim - 1 or q.nonzeros != template_rows(idx, q.dim):
+    idx = min(q.A, default=0)
+    if not 1 <= idx <= q.dim - 1 or q.A != template_rows(idx, q.dim):
         return None
     if any(e != 0 for i, e in enumerate(q.a) if i != idx):
         return None
@@ -367,7 +366,7 @@ def _is_unit_ball(q: ConvexQuadratic) -> bool:
     return (
         q.alpha == -1
         and not any(q.a)
-        and q.nonzeros == template_rows(0, q.dim)
+        and q.A == template_rows(0, q.dim)
     )
 
 
@@ -547,6 +546,9 @@ class _FloatSystem:
     points at a time (at least one), and terms are gathered a block of
     whole runs at a time, so no temporary holds more than
     max(ENTRY_BUDGET, m, n) entries, whatever the number of nonzeros.
+    _DimContext.measure_batch sizes its +-eps probe batches from the same
+    budget, so each is one such piece, unless the probes of a single point
+    already exceed it.
     """
 
     def __init__(self, n: int, K, I, J, V, a: np.ndarray, alpha: np.ndarray):
@@ -568,7 +570,7 @@ class _FloatSystem:
     def from_system(cls, system: QuadraticSystem) -> "_FloatSystem":
         K, I, J, V = [], [], [], []
         for k, q in enumerate(system.constraints):
-            for i, row in q.nonzeros.items():
+            for i, row in q.A.items():
                 K.extend([k] * len(row))
                 I.extend([i] * len(row))
                 J.extend(row)
@@ -832,8 +834,9 @@ class _DimContext:
     so no basis is built).
     Direction spaces are cached per active set.  measure_batch groups its
     points by active set (_group_columns), so each distinct set is looked up
-    once, and evaluates every point's own +-eps probes, PROBE_CHUNK probe
-    points at a time.
+    once, and evaluates every point's own +-eps probes a chunk of points at
+    a time: ENTRY_BUDGET // max(m, n) // len(steps) points (at least one),
+    so a chunk's probes fit one _in_chunks piece whenever one point's do.
     """
 
     def __init__(self, system: QuadraticSystem, classes: list[QuadraticClass]):
@@ -901,7 +904,7 @@ class _DimContext:
             if not len(basis):
                 continue
             steps = np.concatenate([PROBE_EPS * basis, -PROBE_EPS * basis])
-            per = max(1, PROBE_CHUNK // len(steps))
+            per = max(1, ENTRY_BUDGET // max(self.fs.m, self.fs.n, 1) // len(steps))
             for start in range(0, len(members), per):
                 chunk = members[start : start + per]
                 # step-major, so one reduction down the columns of the m x
@@ -1031,7 +1034,7 @@ def _restrict_affine(system: QuadraticSystem):
             )
         q0, cls0 = target
         base = cls0.minimizer
-        sub_basis = null_space_basis(tuple(q0.nonzeros.values()), current.dim).basis
+        sub_basis = null_space_basis(tuple(q0.A.values()), current.dim).basis
         offset = vec_add(
             offset,
             _combine_columns(columns, base),
@@ -1042,9 +1045,9 @@ def _restrict_affine(system: QuadraticSystem):
         for q, _, o in keep:
             if q is q0:
                 continue
-            shifted_a = vec_add(mat_vec(q.nonzeros, base), q.a)
+            shifted_a = vec_add(mat_vec(q.A, base), q.a)
             new_a = tuple(dot(b, shifted_a) for b in sub_basis)
-            images = [mat_vec(q.nonzeros, b) for b in sub_basis]
+            images = [mat_vec(q.A, b) for b in sub_basis]
             # B^T A B is symmetric PSD for PSD A.
             new_rows = {}
             for i, bi in enumerate(sub_basis):
@@ -1109,12 +1112,12 @@ def _lineality_warning(blk: Block) -> list[str]:
     a line, naming the block by the caller's coordinates."""
     if len(blk.system.constraints) < 2:
         return []
-    lin = constant_directions(blk.system.constraints, blk.system.dim)
-    if not lin.dim:
+    lin = constant_direction_dim(blk.system.constraints, blk.system.dim)
+    if not lin:
         return []
     return [
         f"block on coordinates {blk.indices} is unbounded along "
-        f"{lin.dim} direction(s); probe coverage may be incomplete"
+        f"{lin} direction(s); probe coverage may be incomplete"
     ]
 
 

@@ -11,5 +11,5 @@ from fractions import Fraction
 
 def dense(q) -> tuple[tuple[Fraction, ...], ...]:
     n = q.dim
-    return tuple(tuple(q.nonzeros.get(i, {}).get(j, Fraction(0)) for j in range(n))
+    return tuple(tuple(q.A.get(i, {}).get(j, Fraction(0)) for j in range(n))
                  for i in range(n))

@@ -16,12 +16,15 @@ import numpy as np
 from facetforge.verifier import (
     BACKOFF_FLOOR,
     GROWTH_LIMIT,
-    PROBE_CHUNK,
     PROBE_EPS,
     TOL_ACTIVE,
     ProbeMismatch,
     _FloatSystem,
 )
+
+# The batch chunk, in points, this kernel used; the verifier now sizes its
+# batches from ENTRY_BUDGET alone.
+PROBE_CHUNK = 2048
 
 
 class RowMajorFloatSystem(_FloatSystem):

@@ -61,7 +61,7 @@ def reference_direction_space(ctx, active):
             continue
         if cls.kind is _KIND.EMPTY:
             raise InfeasibleSystem("active constraint admits no solution")
-        rows = tuple(q.nonzeros.values())
+        rows = tuple(q.A.values())
         if cls.kind in (_KIND.AFFINE_SUBSPACE, _KIND.SINGLETON):
             spaces.append(null_space_basis(rows, n))
         else:

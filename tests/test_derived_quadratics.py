@@ -50,12 +50,12 @@ def derived(monkeypatch):
 
 
 def assert_as_if_checked(q: ConvexQuadratic):
-    ref = ConvexQuadratic(A=q.nonzeros, a=q.a, alpha=q.alpha)
+    ref = ConvexQuadratic(A=q.A, a=q.a, alpha=q.alpha)
     assert q == ref
     assert hash(q) == hash(ref)
     assert repr(q) == repr(ref)
-    assert [(i, list(row.items())) for i, row in q.nonzeros.items()] == [
-        (i, list(row.items())) for i, row in ref.nonzeros.items()
+    assert [(i, list(row.items())) for i, row in q.A.items()] == [
+        (i, list(row.items())) for i, row in ref.A.items()
     ]
 
 
@@ -108,8 +108,8 @@ def test_embed_at_every_offset(derived):
             for offset in range(n - q.dim + 1):
                 e = embed(q, n, offset)
                 assert_as_if_checked(e)
-                assert e.nonzeros == {offset + i: {offset + j: v for j, v in row.items()}
-                                      for i, row in q.nonzeros.items()}
+                assert e.A == {offset + i: {offset + j: v for j, v in row.items()}
+                               for i, row in q.A.items()}
     for q in derived:
         assert_as_if_checked(q)
 

@@ -31,6 +31,7 @@ from facetforge.quadratics import (
 from facetforge.signatures import Signature
 from facetforge.verifier import (
     DEFAULT_TUPLE_CAP,
+    ENTRY_BUDGET,
     PROBE_EPS,
     InfeasibleSystem,
     TOL_ACTIVE,
@@ -293,11 +294,47 @@ def test_measure_batch_chunks_like_one_batch(monkeypatch):
     x0 = interior_point(system)
     pts, ok, vals = _batch_boundary(ctx.fs, x0, _sampled_directions(4, 500, 3))
     whole = ctx.measure_batch(pts[ok], vals[:, ok])
-    monkeypatch.setattr("facetforge.verifier.PROBE_CHUNK", 5)
     monkeypatch.setattr("facetforge.verifier.ENTRY_BUDGET", 7)
     chunked = ctx.measure_batch(pts[ok], vals[:, ok])
     assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
     assert [s for s, _ in whole[2]] == [s for s, _ in chunked[2]]
+
+
+@pytest.mark.parametrize("budget", [ENTRY_BUDGET, 7])
+def test_measure_batch_probes_within_the_entry_budget(monkeypatch, budget):
+    # Each eval_batch call of measure_batch holds whole points' +-eps probes,
+    # at most the ENTRY_BUDGET // max(m, n) points that _in_chunks takes in
+    # one piece, or one point's probes when even those do not fit; together
+    # the calls probe every point of a group with a face direction once.
+    system = realize(Signature.of(0, 1, 2, 3, 4)).system
+    ctx = _DimContext(system, _restrict_affine(system)[1])
+    x0 = interior_point(system)
+    pts, ok, vals = _batch_boundary(ctx.fs, x0, _sampled_directions(4, 3000, 3))
+    monkeypatch.setattr("facetforge.verifier.ENTRY_BUDGET", budget)
+    cap = max(1, budget // max(ctx.fs.m, ctx.fs.n))
+    steps, calls = [0], []
+    direction_space, eval_batch = ctx.direction_space, ctx.fs.eval_batch
+
+    def space_spy(active):
+        space, basis = direction_space(active)
+        steps[0] = 2 * len(basis)
+        return space, basis
+
+    def eval_spy(probes):
+        calls.append((len(probes), steps[0]))
+        return eval_batch(probes)
+
+    monkeypatch.setattr(ctx, "direction_space", space_spy)
+    monkeypatch.setattr(ctx.fs, "eval_batch", eval_spy)
+    _, dims, groups = ctx.measure_batch(pts[ok], vals[:, ok])
+    assert calls and (dims >= 0).all()
+    for size, per_point in calls:
+        assert size % per_point == 0
+        assert size <= (cap if per_point <= cap else per_point), (size, per_point, cap)
+    assert sum(size for size, _ in calls) == sum(
+        2 * len(direction_space(act)[1]) * len(members) for act, members in groups if act)
+    if budget == ENTRY_BUDGET:
+        assert max(size for size, _ in calls) <= cap
 
 
 def test_minimal_face_dim_at_keeps_one_context():

@@ -55,7 +55,7 @@ class DenseFloatSystem:
         a = np.zeros((m, n))
         alpha = np.zeros(m)
         for k, q in enumerate(system.constraints):
-            for i, row in q.nonzeros.items():
+            for i, row in q.A.items():
                 A[k, i, list(row)] = [float(e) for e in row.values()]
             a[k] = [float(e) for e in q.a]
             alpha[k] = float(q.alpha)
@@ -192,7 +192,7 @@ def templates(draw):
     perm = draw(st.permutations(range(system.dim)))
     return QuadraticSystem(dim=system.dim, constraints=[
         ConvexQuadratic(
-            A={perm[i]: {perm[j]: e for j, e in row.items()} for i, row in q.nonzeros.items()},
+            A={perm[i]: {perm[j]: e for j, e in row.items()} for i, row in q.A.items()},
             a=[q.a[perm.index(i)] for i in range(system.dim)],
             alpha=q.alpha,
         )

@@ -36,7 +36,7 @@ F = Fraction
 def reference_parse_template_cylinder(q: ConvexQuadratic):
     """(index, c, r_squared) when q matches the centered cylinder shape."""
     n = q.dim
-    if any(j != i for i, row in q.nonzeros.items() for j in row):
+    if any(j != i for i, row in q.A.items() for j in row):
         return None
     diag = [dense(q)[i][i] for i in range(n)]
     try:
@@ -62,8 +62,8 @@ def reference_is_unit_ball(q: ConvexQuadratic) -> bool:
     return (
         q.alpha == -1
         and not any(q.a)
-        and len(q.nonzeros) == q.dim
-        and all(row == {i: 1} for i, row in q.nonzeros.items())
+        and len(q.A) == q.dim
+        and all(row == {i: 1} for i, row in q.A.items())
     )
 
 
@@ -187,9 +187,9 @@ def _same(q: ConvexQuadratic, ref: ConvexQuadratic):
     assert q == ref
     assert hash(q) == hash(ref)
     assert repr(q) == repr(ref)
-    assert q.nonzeros == ref.nonzeros
-    assert [(i, list(row.items())) for i, row in q.nonzeros.items()] == [
-        (i, list(row.items())) for i, row in ref.nonzeros.items()
+    assert q.A == ref.A
+    assert [(i, list(row.items())) for i, row in q.A.items()] == [
+        (i, list(row.items())) for i, row in ref.A.items()
     ]
 
 

@@ -216,7 +216,7 @@ def test_kernel_matches_references_on_hilbert_and_dense_blocks():
 def reference_classify(q):
     """classify with the paraboloid case decided by projecting a onto null(A)."""
     n = q.dim
-    if not q.nonzeros:
+    if not q.A:
         if all(e == 0 for e in q.a):
             if q.alpha > 0:
                 return QuadraticClass(QuadraticKind.EMPTY, n, None)

@@ -150,7 +150,7 @@ def _dense_value(q, x):
 @given(quadratics_and_points())
 def test_mat_vec_of_nonzero_rows_matches_dense(case):
     q, x = case
-    product = mat_vec(q.nonzeros, x)
+    product = mat_vec(q.A, x)
     assert product == mat_vec(dense(q), x)
     assert all(type(e) is Fraction for e in product)
 
@@ -219,8 +219,8 @@ def test_nonzero_index_is_invisible(case):
     assert hash(ints) == hash(fracs)
     assert repr(ints) == repr(fracs)
     assert [f.name for f in dataclasses.fields(ConvexQuadratic)] == ["A", "a", "alpha"]
-    assert ints.nonzeros == {0: {0: 2, 2: 1}, 2: {0: 1, 2: 1}}
-    assert dataclasses.replace(ints, alpha=-4).nonzeros == ints.nonzeros
+    assert ints.A == {0: {0: 2, 2: 1}, 2: {0: 1, 2: 1}}
+    assert dataclasses.replace(ints, alpha=-4).A == ints.A
 
     dense_rows, rows, a, alpha = case
     n = len(a)
@@ -233,7 +233,6 @@ def test_nonzero_index_is_invisible(case):
         assert q == from_dense
         assert hash(q) == hash(from_dense)
         assert repr(q) == repr(from_dense)
-        assert q.A is q.nonzeros
         assert list(q.A) == sorted(q.A)
         assert all(list(row) == sorted(row) and all(type(e) is Fraction and e for e in row.values())
                    for row in q.A.values())
@@ -242,10 +241,15 @@ def test_nonzero_index_is_invisible(case):
     assert moved != from_rows and moved.A == from_rows.A and moved.alpha == alpha - 1
 
     # Malformed rows are still rejected: an index outside the matrix, an
-    # asymmetric matrix and one that is not PSD.
+    # asymmetric matrix and one that is not PSD; so are a row that is not a
+    # dict, indices that are not ints and an entry that is not a number.
     row = from_dense.A.get(0, {})
     bad = [({**from_dense.A, n: {n: 1}}, "shape"),
-           ({**from_dense.A, 0: {**row, 0: F(-1)}}, "positive semidefinite")]
+           ({**from_dense.A, 0: {**row, 0: F(-1)}}, "positive semidefinite"),
+           ({0: [1]}, "row 0 is not a dict"),
+           ({"0": {"0": 1}}, "index '0' is not an int"),
+           ({0.0: {0: 1}}, "index 0.0 is not an int"),
+           ({0: {0: None}}, "row 0 holds an entry that is not a number")]
     if n > 1:
         bad.append(({**from_dense.A, 0: {**row, 1: row.get(1, 0) + 1}}, "symmetric"))
     for rows, message in bad:

@@ -5,7 +5,7 @@ system_from_json), minimal_face_dim_at on every exact witness,
 probe_signature (2000 samples, seed 42) and its float-kernel layers, and
 the decomposition search decompose_min_cost on {0..n} at budget n.  The
 layers are the 2000 ray directions (_sampled_directions), their boundary
-hits from the probe's interior point (_batch_boundary) and the face
+hits from the probe's interior point (_FloatSystem.ray_exit) and the face
 measurement of those hits (_DimContext.measure_batch), the last with the
 context's direction spaces already computed, so it times the grouping and
 the +-eps probes.
@@ -28,12 +28,13 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from facetforge import formats
 from facetforge.constructor import realize
 from facetforge.quadratics import classify
 from facetforge.signatures import Signature, decompose_min_cost, lower_bound, tree_cost
 from facetforge.verifier import (
-    _batch_boundary,
     _DimContext,
     _restrict_affine,
     _sampled_directions,
@@ -83,7 +84,8 @@ def main(sizes):
         ctx = _DimContext(reduced, classes)
         x0 = interior_point(reduced)
         dirs, t_rays = _best(lambda _: _sampled_directions(reduced.dim, 2000, 42))
-        (pts, hit, vals), t_hits = _best(lambda _: _batch_boundary(ctx.fs, x0, dirs))
+        (t, pts, vals), t_hits = _best(lambda _: ctx.fs.ray_exit(x0, dirs))
+        hit = np.isfinite(t)
         ctx.measure_batch(pts[hit], vals[:, hit])
         _, t_measure = _best(lambda _: ctx.measure_batch(pts[hit], vals[:, hit]))
         tree, t_decompose = _best(lambda _: decompose_min_cost(sig, n))

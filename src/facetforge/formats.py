@@ -494,8 +494,9 @@ def slice_boundary(s: QuadraticSystem, spec: SliceSpec):
 
     The system is restricted to the plane, an interior point of the
     restriction is the center, and one ray per angle leaves it through
-    _FloatSystem.ray_exit.  A ray is kept iff it exits within spec.extent
-    of the center, so unbounded slices come back as partial polylines.
+    _FloatSystem.ray_exit, whose hit points are the st pairs.  A ray is
+    kept iff it exits within spec.extent of the center, so unbounded slices
+    come back as partial polylines.
     """
     if len(spec.base_point) != s.dim:
         raise ValueError("slice base point dimension mismatch")
@@ -509,11 +510,11 @@ def slice_boundary(s: QuadraticSystem, spec: SliceSpec):
 
     thetas = 2.0 * np.pi * np.arange(spec.resolution) / spec.resolution
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    t, _ = plane.ray_exit(center, dirs)
+    t, st_rows, _ = plane.ray_exit(center, dirs)
     keep = t <= spec.extent
     if not keep.any():
         raise EmptySlice("every ray stayed feasible out to the extent")
-    st_rows = center + t[keep, None] * dirs[keep]
+    st_rows = st_rows[keep]
     points = base + st_rows @ U
     return list(thetas[keep]), list(st_rows), list(points)
 

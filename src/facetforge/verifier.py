@@ -39,8 +39,9 @@ ENTRY_BUDGET // max(m, n) points at a time and terms are gathered a block
 of whole runs at a time, which bounds every temporary by entries.  Hits are
 grouped by active set through each point's column of activity bits packed
 into 64-bit words.  Ray exits are closed-form quadratic roots, pulled back
-until the hit point evaluates feasible, and the values of that last check
-are the hit's values.  Tolerances: activity 1e-8, face probe step 1e-6,
+until the hit point evaluates feasible, and _FloatSystem.ray_exit returns
+the point and values of that last check as the hit's, the one place a hit
+point is computed.  Tolerances: activity 1e-8, face probe step 1e-6,
 Newton residual 1e-12.  The separation between activity detection and the
 probe step keeps quadratic curvature from masquerading as flatness.
 """
@@ -666,16 +667,20 @@ class _FloatSystem:
     def eval_point(self, x: np.ndarray) -> np.ndarray:
         return self.eval_batch(x[None, :])[:, 0]
 
-    def ray_exit(self, x0: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Smallest t > 0 per ray at which max_j f_j(x0 + t d) reaches 0,
-        with f at x0 + t d, m x len(dirs).
+    def ray_exit(
+        self, x0: np.ndarray, dirs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, pts, vals) per ray: the smallest t > 0 at which
+        max_j f_j(x0 + t d) reaches 0, the hit point x0 + t d as a row of
+        pts and f at it as a column of vals, m x len(dirs).
 
         Along a ray f_j is qa t^2 + 2 qb t + qc; its exit is the larger root
         in cancellation-free form.  Recession rays (exit >= GROWTH_LIMIT) get
         inf.  Hits that still evaluate infeasible are pulled back by relative
         steps doubling from 2^-52 until max_j f_j <= 0; past 2^-BACKOFF_FLOOR
-        they get inf too.  Each hit's values are those of the check it
-        passed; a ray with t = inf gets f(x0).
+        they get inf too.  pts are the points of each ray's last check and
+        vals their values, so vals = f(pts) holds bit for bit; a ray with
+        t = inf gets x0 and f(x0).
         """
         qa = self.quad_forms(dirs)
         qb = np.ascontiguousarray((dirs @ self.half_gradients(x0).T).T)
@@ -687,18 +692,21 @@ class _FloatSystem:
         t[t >= GROWTH_LIMIT] = np.inf
         # the first check takes every ray at once, a recession ray at x0
         finite = np.isfinite(t)
-        vals = self.eval_batch(x0 + np.where(finite, t, 0.0)[:, None] * dirs)
+        pts = x0 + np.where(finite, t, 0.0)[:, None] * dirs
+        vals = self.eval_batch(pts)
         pending = np.flatnonzero(finite & (vals.max(axis=0, initial=-np.inf) > 0.0))
         for shift_bits in range(52, BACKOFF_FLOOR + 1, -1):
             if not len(pending):
                 break
             t[pending] *= 1.0 - 2.0 ** -shift_bits
-            f = self.eval_batch(x0 + t[pending, None] * dirs[pending])
+            pts[pending] = x0 + t[pending, None] * dirs[pending]
+            f = self.eval_batch(pts[pending])
             vals[:, pending] = f
             pending = pending[f.max(axis=0, initial=-np.inf) > 0.0]
         t[pending] = np.inf
+        pts[pending] = x0
         vals[:, pending] = qc
-        return t, vals
+        return t, pts, vals
 
 
 def interior_point(system: QuadraticSystem) -> np.ndarray:
@@ -793,19 +801,6 @@ def _float_interior(fs: _FloatSystem) -> np.ndarray:
     return x
 
 
-def _batch_boundary(fs: _FloatSystem, x0: np.ndarray, dirs: np.ndarray):
-    """Boundary hit per ray from the closed-form exit of fs.ray_exit.
-
-    Returns (points, hit_mask, values), values = f(points) as m x len(dirs),
-    read off ray_exit's last feasibility check; recession rays come back
-    unmasked with their point at x0 and their values f(x0).
-    """
-    t, vals = fs.ray_exit(x0, dirs)
-    hit = np.isfinite(t)
-    pts = x0 + np.where(hit, t, 0.0)[:, None] * dirs
-    return pts, hit, vals
-
-
 def boundary_sample(
     system: QuadraticSystem, x0, direction
 ) -> np.ndarray | None:
@@ -816,8 +811,8 @@ def boundary_sample(
     d = np.asarray(direction, dtype=float)
     if float(fs.eval_point(x0).max(initial=-np.inf)) > 0:
         raise ValueError("ray origin is not feasible")
-    pts, ok, _ = _batch_boundary(fs, x0, d[None, :])
-    return pts[0] if bool(ok[0]) else None
+    t, pts, _ = fs.ray_exit(x0, d[None, :])
+    return pts[0] if np.isfinite(t[0]) else None
 
 
 # ---------------------------------------------------------------------------
@@ -1209,10 +1204,9 @@ def _read_refined(ctx: _DimContext, log: _FaceLog, pending: list, sols: np.ndarr
     return unresolved
 
 
-def _probe_faces(
-    ctx: _DimContext, x0: np.ndarray, pts: np.ndarray, ok: np.ndarray, vals: np.ndarray
-) -> _FaceLog:
-    """Faces at the boundary hits pts[ok], then by targeted refinement.
+def _probe_faces(ctx: _DimContext, x0: np.ndarray, dirs: np.ndarray) -> _FaceLog:
+    """Faces at the boundary hits of the rays from x0 along dirs, then by
+    targeted refinement.
 
     Corners where several constraints meet, and constraints no ray reached,
     have measure zero for random rays, so refinement solves for activity
@@ -1230,6 +1224,8 @@ def _probe_faces(
     """
     m = ctx.fs.m
     log = _FaceLog(m, ctx.system.dim, x0)
+    t, pts, vals = ctx.fs.ray_exit(x0, dirs)
+    ok = np.isfinite(t)
     _read_hits(ctx, log, pts[ok], vals[:, ok])
     log.ever_active.update(log.first_hit)
     for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
@@ -1317,8 +1313,7 @@ def probe_signature(
             warnings.extend(_lineality_warning(blk))
             ctx = _DimContext(reduced, classes)
             x0 = interior_point(reduced)
-            directions = _sampled_directions(n, samples, seed)
-            log = _probe_faces(ctx, x0, *_batch_boundary(ctx.fs, x0, directions))
+            log = _probe_faces(ctx, x0, _sampled_directions(n, samples, seed))
             points = log.points
             skipped += log.skipped
             shot += samples

@@ -1,10 +1,11 @@
 """The point-major (N x m) batch kernel of the probe path, kept as a reference.
 
 verifier._FloatSystem evaluates a batch of N points constraint-major, as
-an m x N array, and ray_exit hands back the values of its last feasibility
-check.  Before that, the batch methods below returned N x m arrays and
-reduced over the constraint axis of each row; _batch_boundary evaluated
-every hit a second time, and measure_batch grouped rows with _group_rows.
+an m x N array, and ray_exit hands back the points and values of its last
+feasibility check.  Before that, the batch methods below returned N x m
+arrays and reduced over the constraint axis of each row; batch_boundary
+rebuilt every hit point from its exit and evaluated it a second time, and
+measure_batch grouped rows with _group_rows.
 They are kept here verbatim, apart from the linear term 2 a^T x, which
 comes from the same helper as the new kernel's (_FloatSystem.linear_terms),
 so that both evaluate a point to the same bits, and the per-constraint sum,

@@ -36,7 +36,6 @@ from facetforge.signatures import Signature
 from facetforge.verifier import (
     InfeasibleSystem,
     ProbeMismatch,
-    _batch_boundary,
     _DimContext,
     _probe_faces,
     _restrict_affine,
@@ -114,7 +113,7 @@ def check_system(system, samples, seed):
     ctx = _DimContext(reduced, classes)
     x0 = interior_point(reduced)
     dirs = _sampled_directions(reduced.dim, samples, seed)
-    log = _probe_faces(ctx, x0, *_batch_boundary(ctx.fs, x0, dirs))
+    log = _probe_faces(ctx, x0, dirs)
     assert log.seen
     recorded = [tuple(sorted(act)) for act in log.seen]
     assert_same_spaces(ctx, recorded + small_subsets(len(reduced.constraints)))
@@ -203,9 +202,9 @@ def planted_points(system, samples, seed):
     """Boundary hits of the system, then its probe witnesses."""
     fs = verifier._FloatSystem.from_system(system)
     x0 = interior_point(system)
-    pts, ok, _ = _batch_boundary(fs, x0, _sampled_directions(system.dim, samples, seed))
+    t, pts, _ = fs.ray_exit(x0, _sampled_directions(system.dim, samples, seed))
     witnesses = verifier.probe_signature(system, samples, seed).witnesses.values()
-    return np.concatenate([pts[ok], np.array(list(witnesses))]), fs
+    return np.concatenate([pts[np.isfinite(t)], np.array(list(witnesses))]), fs
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,6 @@ from facetforge.verifier import (
     InfeasibleSystem,
     TOL_ACTIVE,
     ProbeMismatch,
-    _batch_boundary,
     _DimContext,
     _FaceLog,
     _gauss_newton_batch,
@@ -166,8 +165,11 @@ def assert_same_points(got, want):
         assert np.array_equal(got[key], want[key]), key
 
 
-def assert_matches_reference(ctx, x0, pts, ok, vals):
-    """Both stages agree with the reference; returns the reference's skipped count."""
+def assert_matches_reference(ctx, x0, dirs):
+    """Both stages agree with the reference on the rays from x0 along dirs;
+    returns the reference's skipped count."""
+    t, pts, vals = ctx.fs.ray_exit(x0, dirs)
+    ok = np.isfinite(t)
     hits = _FaceLog(ctx.fs.m, ctx.system.dim, x0)
     _read_hits(ctx, hits, pts[ok], vals[:, ok])
     dims, seen, first_hit, skipped, _ = reference_faces(ctx, x0, pts, ok, vals, refine=False)
@@ -176,7 +178,7 @@ def assert_matches_reference(ctx, x0, pts, ok, vals):
     assert_same_points(hits.first_hit, dict(sorted(first_hit.items())))
     assert hits.skipped == skipped
 
-    log = _probe_faces(ctx, x0, pts, ok, vals)
+    log = _probe_faces(ctx, x0, dirs)
     dims, seen, first_hit, skipped, ever_active = reference_faces(ctx, x0, pts, ok, vals)
     assert_same_points(log.points, dims)
     # Refinement stops once the log settles, so it may record fewer sets.
@@ -196,7 +198,7 @@ def check_system(system, samples, seed):
     ctx = _DimContext(reduced, classes)
     x0 = interior_point(reduced)
     dirs = _sampled_directions(reduced.dim, samples, seed)
-    return assert_matches_reference(ctx, x0, *_batch_boundary(ctx.fs, x0, dirs))
+    return assert_matches_reference(ctx, x0, dirs)
 
 
 def ball_at(center, radius_sq, n):
@@ -284,7 +286,7 @@ def test_degenerate_active_sets_are_skipped_alike():
     aimed /= np.linalg.norm(aimed, axis=1, keepdims=True)
     dirs = np.concatenate([_sampled_directions(2, 200, 5), aimed])
     dirs = dirs[np.random.default_rng(6).permutation(len(dirs))]
-    skipped = assert_matches_reference(ctx, x0, *_batch_boundary(ctx.fs, x0, dirs))
+    skipped = assert_matches_reference(ctx, x0, dirs)
     assert skipped >= len(aims)
 
 
@@ -292,7 +294,8 @@ def test_measure_batch_chunks_like_one_batch(monkeypatch):
     system = realize(Signature.of(0, 1, 2, 3, 4)).system
     ctx = _DimContext(system, _restrict_affine(system)[1])
     x0 = interior_point(system)
-    pts, ok, vals = _batch_boundary(ctx.fs, x0, _sampled_directions(4, 500, 3))
+    t, pts, vals = ctx.fs.ray_exit(x0, _sampled_directions(4, 500, 3))
+    ok = np.isfinite(t)
     whole = ctx.measure_batch(pts[ok], vals[:, ok])
     monkeypatch.setattr("facetforge.verifier.ENTRY_BUDGET", 7)
     chunked = ctx.measure_batch(pts[ok], vals[:, ok])
@@ -309,7 +312,8 @@ def test_measure_batch_probes_within_the_entry_budget(monkeypatch, budget):
     system = realize(Signature.of(0, 1, 2, 3, 4)).system
     ctx = _DimContext(system, _restrict_affine(system)[1])
     x0 = interior_point(system)
-    pts, ok, vals = _batch_boundary(ctx.fs, x0, _sampled_directions(4, 3000, 3))
+    t, pts, vals = ctx.fs.ray_exit(x0, _sampled_directions(4, 3000, 3))
+    ok = np.isfinite(t)
     monkeypatch.setattr("facetforge.verifier.ENTRY_BUDGET", budget)
     cap = max(1, budget // max(ctx.fs.m, ctx.fs.n))
     steps, calls = [0], []

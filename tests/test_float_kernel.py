@@ -11,7 +11,11 @@ templates with permuted coordinates, and direct sums of a template with
 such a system.  The two sum in different orders, so values agree to
 rounding, not bit for bit.  The new kernel's batches are constraint-major
 (m x N), the reference's point-major (N x m).  _group_columns is compared
-with the np.unique(active, axis=0) grouping it replaced.
+with the np.unique(active, axis=0) grouping it replaced.  On the same
+systems, and on halfspaces and constants alone, ray_exit must return the
+points its last check evaluated, with their values bit for bit, x0 and
+f(x0) for a recession ray or a failed pull-back, and slice_boundary's rows
+must be its points.
 """
 
 import itertools
@@ -23,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_row_major
 from facetforge.constructor import realize
+from facetforge.formats import EmptySlice, SliceSpec, slice_boundary
 from facetforge.quadratics import ConvexQuadratic, QuadraticSystem, classify, direct_sum
 from facetforge.signatures import Signature
 from facetforge.verifier import (
@@ -30,8 +35,8 @@ from facetforge.verifier import (
     GROWTH_LIMIT,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
-    _batch_boundary,
     _DimContext,
+    _float_interior,
     _FloatSystem,
     _gauss_newton_batch,
     _group_columns,
@@ -246,7 +251,7 @@ def test_ray_exit_matches_dense_reference(system, seed):
     fs, ref = _pair(system)
     x0 = np.zeros(system.dim)
     dirs = _sampled_directions(system.dim, 64, seed)
-    (t, _), t_ref = fs.ray_exit(x0, dirs), ref.ray_exit(x0, dirs)
+    (t, _, _), t_ref = fs.ray_exit(x0, dirs), ref.ray_exit(x0, dirs)
     np.testing.assert_array_equal(np.isinf(t), np.isinf(t_ref))
     finite = np.isfinite(t)
     np.testing.assert_allclose(t[finite], t_ref[finite], rtol=1e-9)
@@ -304,14 +309,15 @@ def test_systems_without_entries_or_constraints():
     np.testing.assert_array_equal(fs.eval_batch(pts).T, ref.eval_batch(pts))
     np.testing.assert_array_equal(fs.gradients(pts[0]), ref.gradients(pts[0]))
     dirs = _sampled_directions(3, 16, 1)
-    t, _ = fs.ray_exit(np.zeros(3), dirs)
+    t, _, _ = fs.ray_exit(np.zeros(3), dirs)
     np.testing.assert_array_equal(t, ref.ray_exit(np.zeros(3), dirs))
     plane = fs.restrict(pts[0], np.eye(3)[:2])
     assert len(plane.V) == 0 and plane.a.shape == (2, 2)
     empty = _FloatSystem.from_system(QuadraticSystem(dim=2, constraints=()))
     assert empty.eval_batch(pts[:, :2]).shape == (0, 7)
-    t, vals = empty.ray_exit(np.zeros(2), dirs[:, :2])
+    t, pts, vals = empty.ray_exit(np.zeros(2), dirs[:, :2])
     assert np.isinf(t).all() and vals.shape == (0, 16)
+    assert (pts == 0.0).all() and pts.shape == (16, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +353,9 @@ def test_constraint_major_kernel_matches_row_major_reference(system, seed):
     dirs = _sampled_directions(system.dim, 64, seed)
     if system.dim > 1:  # a recession ray of every halfspace and constant
         dirs[:2, 0], dirs[:2, 1:] = (-1, 1), 0.0
-    t, vals = fs.ray_exit(x0, dirs)
+    t, pts, vals = fs.ray_exit(x0, dirs)
     np.testing.assert_array_equal(t, ref.ray_exit(x0, dirs))
-    pts, hit, vals = _batch_boundary(fs, x0, dirs)
+    hit = np.isfinite(t)
     ref_pts, ref_hit, ref_vals = reference_row_major.batch_boundary(ref, x0, dirs)
     np.testing.assert_array_equal(pts, ref_pts)
     np.testing.assert_array_equal(hit, ref_hit)
@@ -364,6 +370,72 @@ def test_constraint_major_kernel_matches_row_major_reference(system, seed):
     assert [act for act, _ in groups] == [tuple(np.flatnonzero(r)) for r in ref_rows]
     for (_, members), ref_members in zip(groups, ref_groups):
         np.testing.assert_array_equal(members, ref_members)
+
+
+@SETTINGS
+@given(st.one_of(systems(), entryless_systems()), st.integers(0, 2**16),
+       st.sampled_from([BACKOFF_FLOOR, 52]))
+def test_ray_exit_returns_the_points_it_checked(system, seed, floor):
+    # A floor of 52 allows no pull-back step, so every hit whose first check
+    # evaluates infeasible fails its pull-back.
+    fs = _FloatSystem.from_system(system)
+    x0 = np.zeros(system.dim)
+    dirs = _sampled_directions(system.dim, 64, seed)
+    if system.dim > 1:  # a recession ray of every halfspace and constant
+        dirs[:2, 0], dirs[:2, 1:] = (-1, 1), 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("facetforge.verifier.BACKOFF_FLOOR", floor)
+        t, pts, vals = fs.ray_exit(x0, dirs)
+    assert pts.shape == dirs.shape and vals.shape == (fs.m, len(dirs))
+    for i in range(len(dirs)):
+        np.testing.assert_array_equal(vals[:, i], fs.eval_batch(pts[i : i + 1])[:, 0])
+    hit = np.isfinite(t)
+    assert (vals[:, hit] <= 0.0).all()
+    np.testing.assert_array_equal(pts[hit], x0 + t[hit, None] * dirs[hit])
+    # a recession ray or a failed pull-back: x0 and f(x0)
+    assert (pts[~hit] == x0).all()
+    assert (vals[:, ~hit] == fs.eval_point(x0)[:, None]).all()
+
+
+def test_ray_exit_gives_a_failed_pull_back_x0(monkeypatch):
+    # Rays that leave the unit ball from an off-center point: their exits
+    # are all finite, and some fail their first check by rounding.
+    ball = ConvexQuadratic(A={i: {i: 1} for i in range(3)}, a=(0, 0, 0), alpha=-1)
+    fs = _FloatSystem.from_system(QuadraticSystem(dim=3, constraints=[ball]))
+    x0 = np.full(3, 0.125)
+    dirs = _sampled_directions(3, 64, 5)
+    pulled, _, _ = fs.ray_exit(x0, dirs)
+    monkeypatch.setattr("facetforge.verifier.BACKOFF_FLOOR", 52)
+    t, pts, vals = fs.ray_exit(x0, dirs)
+    failed = np.isfinite(pulled) & np.isinf(t)
+    assert np.isfinite(pulled).all() and failed.any()
+    assert (pts[failed] == x0).all() and (vals[:, failed] == fs.eval_point(x0)[:, None]).all()
+    np.testing.assert_array_equal(pts[~failed], x0 + t[~failed, None] * dirs[~failed])
+
+
+@SETTINGS
+@given(st.one_of(systems(), entryless_systems()), st.data())
+def test_slice_rows_are_ray_exit_points(system, data):
+    n = system.dim
+    if n < 2:
+        return
+    U = np.eye(n)[data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))]
+    spec = SliceSpec(base_point=(0.0,) * n, u=tuple(U[0]), v=tuple(U[1]),
+                     resolution=data.draw(st.integers(8, 40)),
+                     extent=data.draw(st.sampled_from([0.5, 4.0, 16.0])))
+    plane = _FloatSystem.from_system(system).restrict(np.zeros(n), U)
+    thetas = 2.0 * np.pi * np.arange(spec.resolution) / spec.resolution
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    t, pts, _ = plane.ray_exit(_float_interior(plane), dirs)
+    keep = t <= spec.extent
+    if not keep.any():
+        with pytest.raises(EmptySlice):
+            slice_boundary(system, spec)
+        return
+    got_thetas, st_rows, points = slice_boundary(system, spec)
+    np.testing.assert_array_equal(got_thetas, thetas[keep])
+    np.testing.assert_array_equal(np.array(st_rows), pts[keep])
+    np.testing.assert_array_equal(np.array(points), pts[keep] @ U)
 
 
 @SETTINGS

@@ -36,7 +36,6 @@ from .exact_linalg import (
     project_onto,
     psd_ldlt,
     rank,
-    rmatrix,
     rvector,
     sparse_rows,
 )
@@ -54,12 +53,13 @@ class ConvexQuadratic:
     input was ordered or typed, and the hash reads the nonzero entries as a
     set; both cost O(nnz), not O(n^2).
 
-    ConvexQuadratic(...) checks the shape, symmetry and positive
-    semidefiniteness of A, and so does the JSON loader, which calls it:
-    every matrix from outside the program comes in checked.  Quadratics
-    derived from checked ones (embed, the verifier's restrictions, the
-    template builders) come from _psd_by_construction, which skips those
-    checks and builds the same fields.
+    ConvexQuadratic(...) checks that A, a and alpha hold finite numbers,
+    and the shape, symmetry and positive semidefiniteness of A, with a
+    ValueError that names the field at fault; so does the JSON loader,
+    which calls it: every matrix from outside the program comes in
+    checked.  Quadratics derived from checked ones (embed, the verifier's
+    restrictions, the template builders) come from _psd_by_construction,
+    which skips those checks and builds the same fields.
     """
 
     A: SparseRows
@@ -67,16 +67,17 @@ class ConvexQuadratic:
     alpha: Fraction
 
     def __post_init__(self):
-        a = rvector(self.a)
+        a = _numbers(rvector, self.a, "a holds an entry that is not a number")
         n = len(a)
         if isinstance(self.A, dict):
             rows = _rows_from_dict(self.A, n)
         else:
-            A = rmatrix(self.A)
+            A = _numbers(lambda A: tuple(map(rvector, A)), self.A,
+                         "A holds an entry that is not a number")
             if len(A) != n or any(len(row) != n for row in A):
                 raise ValueError("matrix shape does not match the linear term")
             rows = sparse_rows(A)
-        self._fill(rows, a, self.alpha)
+        self._fill(rows, a, _numbers(Fraction, self.alpha, "alpha is not a number"))
         if not is_symmetric(rows):
             raise ValueError("quadratic form matrix must be symmetric")
         ok, _ = psd_ldlt(rows, n)
@@ -110,6 +111,16 @@ class ConvexQuadratic:
         return len(self.a)
 
 
+def _numbers(convert, value, fault: str):
+    """convert(value), where convert makes Fractions; a ValueError that
+    starts with fault when Fraction cannot read an entry (None, a string
+    that is no number, NaN or an infinity) or value is not a sequence."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{fault}: {exc}") from None
+
+
 def _rows_from_dict(A: dict, n: int) -> SparseRows:
     """The nonzero rows of the n x n matrix A = {i: {j: A_ij}}.
 
@@ -126,10 +137,8 @@ def _rows_from_dict(A: dict, n: int) -> SparseRows:
                 raise ValueError(f"matrix index {k!r} is not an int")
             if not 0 <= k < n:
                 raise ValueError("matrix shape does not match the linear term")
-        try:
-            values = rvector(row.values())
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"matrix row {i} holds an entry that is not a number: {exc}") from None
+        values = _numbers(rvector, row.values(),
+                          f"matrix row {i} holds an entry that is not a number")
         if nonzero := {j: e for j, e in sorted(zip(row, values)) if e}:
             rows[i] = nonzero
     return dict(sorted(rows.items()))

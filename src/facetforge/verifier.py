@@ -548,8 +548,7 @@ class _FloatSystem:
     whole runs at a time, so no temporary holds more than
     max(ENTRY_BUDGET, m, n) entries, whatever the number of nonzeros.
     _DimContext.measure_batch sizes its +-eps probe batches from the same
-    budget, so each is one such piece, unless the probes of a single point
-    already exceed it.
+    budget, so each is one such piece.
     """
 
     def __init__(self, n: int, K, I, J, V, a: np.ndarray, alpha: np.ndarray):
@@ -830,8 +829,10 @@ class _DimContext:
     Direction spaces are cached per active set.  measure_batch groups its
     points by active set (_group_columns), so each distinct set is looked up
     once, and evaluates every point's own +-eps probes a chunk of points at
-    a time: ENTRY_BUDGET // max(m, n) // len(steps) points (at least one),
-    so a chunk's probes fit one _in_chunks piece whenever one point's do.
+    a time: ENTRY_BUDGET // max(m, n) // len(steps) whole points, so a
+    chunk's probes fit one _in_chunks piece.  Where even one point's probes
+    exceed ENTRY_BUDGET // max(m, n), the chunk is that point alone and its
+    steps go that many at a time, so no eval_batch call holds more.
     """
 
     def __init__(self, system: QuadraticSystem, classes: list[QuadraticClass]):
@@ -899,13 +900,19 @@ class _DimContext:
             if not len(basis):
                 continue
             steps = np.concatenate([PROBE_EPS * basis, -PROBE_EPS * basis])
-            per = max(1, ENTRY_BUDGET // max(self.fs.m, self.fs.n, 1) // len(steps))
+            cap = max(1, ENTRY_BUDGET // max(self.fs.m, self.fs.n, 1))
+            per = max(1, cap // len(steps))
             for start in range(0, len(members), per):
                 chunk = members[start : start + per]
+                worst = np.full(len(chunk), -np.inf)
                 # step-major, so one reduction down the columns of the m x
-                # (steps x chunk) values takes the worst over both
-                probes = (steps[:, None, :] + pts[chunk]).reshape(-1, pts.shape[1])
-                worst = self.fs.eval_batch(probes).reshape(-1, len(chunk)).max(axis=0)
+                # (steps x chunk) values takes the worst over both; a lone
+                # point's steps go cap at a time when they exceed it
+                for lo in range(0, len(steps), cap):
+                    part = steps[lo : lo + cap, None, :]
+                    probes = (part + pts[chunk]).reshape(-1, pts.shape[1])
+                    f = self.fs.eval_batch(probes).reshape(-1, len(chunk)).max(axis=0)
+                    np.maximum(worst, f, out=worst)
                 dims[chunk[worst > TOL_ACTIVE]] = -1
         return active, dims, groups
 

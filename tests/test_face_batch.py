@@ -303,17 +303,21 @@ def test_measure_batch_chunks_like_one_batch(monkeypatch):
     assert [s for s, _ in whole[2]] == [s for s, _ in chunked[2]]
 
 
-@pytest.mark.parametrize("budget", [ENTRY_BUDGET, 7])
+@pytest.mark.parametrize("budget", [ENTRY_BUDGET, 7, 13])
 def test_measure_batch_probes_within_the_entry_budget(monkeypatch, budget):
-    # Each eval_batch call of measure_batch holds whole points' +-eps probes,
-    # at most the ENTRY_BUDGET // max(m, n) points that _in_chunks takes in
-    # one piece, or one point's probes when even those do not fit; together
-    # the calls probe every point of a group with a face direction once.
+    # No eval_batch call of measure_batch holds more than the
+    # ENTRY_BUDGET // max(m, n) points that _in_chunks takes in one piece:
+    # whole points' +-eps probes where one point's fit, else part of one
+    # point's.  Together the calls probe every point of a group with a face
+    # direction once, and the dims are those of the default budget.  At
+    # budget 7 one probe fits a call, at 13 three, so a point of {0..4}
+    # with one face direction goes whole and one with two or three is cut.
     system = realize(Signature.of(0, 1, 2, 3, 4)).system
     ctx = _DimContext(system, _restrict_affine(system)[1])
     x0 = interior_point(system)
     t, pts, vals = ctx.fs.ray_exit(x0, _sampled_directions(4, 3000, 3))
     ok = np.isfinite(t)
+    _, want, _ = ctx.measure_batch(pts[ok], vals[:, ok])
     monkeypatch.setattr("facetforge.verifier.ENTRY_BUDGET", budget)
     cap = max(1, budget // max(ctx.fs.m, ctx.fs.n))
     steps, calls = [0], []
@@ -332,13 +336,15 @@ def test_measure_batch_probes_within_the_entry_budget(monkeypatch, budget):
     monkeypatch.setattr(ctx.fs, "eval_batch", eval_spy)
     _, dims, groups = ctx.measure_batch(pts[ok], vals[:, ok])
     assert calls and (dims >= 0).all()
+    np.testing.assert_array_equal(dims, want)
     for size, per_point in calls:
-        assert size % per_point == 0
-        assert size <= (cap if per_point <= cap else per_point), (size, per_point, cap)
+        assert size <= cap, (size, per_point, cap)
+        if per_point <= cap:
+            assert size % per_point == 0
     assert sum(size for size, _ in calls) == sum(
         2 * len(direction_space(act)[1]) * len(members) for act, members in groups if act)
-    if budget == ENTRY_BUDGET:
-        assert max(size for size, _ in calls) <= cap
+    if budget < ENTRY_BUDGET:
+        assert any(per_point > cap for _, per_point in calls)
 
 
 def test_minimal_face_dim_at_keeps_one_context():

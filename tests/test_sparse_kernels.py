@@ -255,3 +255,29 @@ def test_nonzero_index_is_invisible(case):
     for rows, message in bad:
         with pytest.raises(ValueError, match=message):
             ConvexQuadratic(A=rows, a=a, alpha=alpha)
+
+
+INF, NAN = float("inf"), float("nan")
+NON_NUMBERS = [
+    ("A", [[None]], "A holds an entry that is not a number"),
+    ("A", [[INF]], "A holds an entry that is not a number"),
+    ("A", [[NAN]], "A holds an entry that is not a number"),
+    ("A", None, "A holds an entry that is not a number"),
+    ("A", {0: {0: INF}}, "matrix row 0 holds an entry that is not a number"),
+    ("a", (None,), "a holds an entry that is not a number"),
+    ("a", (-INF,), "a holds an entry that is not a number"),
+    ("a", None, "a holds an entry that is not a number"),
+    ("alpha", None, "alpha is not a number"),
+    ("alpha", INF, "alpha is not a number"),
+    ("alpha", "x", "alpha is not a number"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", NON_NUMBERS,
+                         ids=[f"{field}={value!r}" for field, value, _ in NON_NUMBERS])
+def test_non_number_input_is_a_value_error(field, value, message):
+    # Every path, dense A, dict A, a and alpha, refuses what Fraction cannot
+    # read, infinities and NaN included, with a ValueError naming the field.
+    fields = {"A": [[1]], "a": (0,), "alpha": -1, field: value}
+    with pytest.raises(ValueError, match=message):
+        ConvexQuadratic(**fields)

@@ -6,9 +6,10 @@ matrix can also be given by its nonzero entries as rows {i: {j: m_ij}}
 out.  The symmetry test and the LDL^T elimination take either form and
 touch nonzeros only.  Every operation here is exact; floating point never
 enters.  One integer row reduction (_rref) answers rank and null-space
-bases; it keeps every row primitive, so coefficient growth stays in check,
-and takes rows dense or as dicts {j: m_j} of nonzeros.  Solves are read off
-the null space: x solves m x = b when (x, 1) is a null vector of [m | -b].
+bases; it takes rows dense or as dicts {j: m_j} of nonzeros, eliminates
+their nonzeros only, as dicts, and keeps every row primitive, so
+coefficient growth stays in check.  Solves are read off the null space:
+x solves m x = b when (x, 1) is a null vector of [m | -b].
 """
 
 from __future__ import annotations
@@ -89,52 +90,47 @@ def is_symmetric(m: RMatrix | SparseRows) -> bool:
     )
 
 
-def _integer_rows(m, ncols: int) -> list[list[int]]:
-    # Row scaling by the denominator lcm preserves rank, null space and RREF.
-    out = []
+def _rref(m, ncols: int):
+    """Reduced row echelon form; returns (pivot rows, pivot columns).
+
+    Gauss-Jordan over the integers on nonzero entries.  Each row of m is a
+    dense tuple of length ncols or a dict {j: m_j} of its nonzero Fraction
+    or int entries; it is scaled to an integer dict {j: m_j}.  Every
+    updated row is divided by its gcd, so coefficients stay bounded, and
+    dropped once it vanishes.  Pivot rows come back as dicts {j: Fraction}.
+    """
+    rows = []
     for row in m:
         pairs = row.items() if isinstance(row, dict) else enumerate(row)
         nonzero = [(j, e) for j, e in pairs if e]
-        scale = lcm(*(e.denominator for _, e in nonzero))
-        ints = [0] * ncols
-        for j, e in nonzero:
-            ints[j] = e.numerator * (scale // e.denominator)
-        out.append(ints)
-    return out
-
-
-def _rref(m, ncols: int):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Gauss-Jordan over the integers: rows are scaled to integers, and every
-    updated row is divided by the gcd of its entries, so it stays primitive
-    and coefficients stay bounded.  Each row of m is a dense tuple of
-    length ncols or a dict {j: m_j} of its nonzero entries; entries are
-    Fraction or int.  Fractions are built for the returned pivot rows only.
-    """
-    rows = _integer_rows(m, ncols)
+        if nonzero:
+            scale = lcm(*(e.denominator for _, e in nonzero))
+            rows.append({j: e.numerator * (scale // e.denominator) for j, e in nonzero})
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == len(rows):
             break
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        p = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         prow = rows[r]
         piv = prow[c]
         for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                new = [piv * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*new) or 1
-                rows[i] = [x // g for x in new]
+            if c in row and i != r:
+                f = row[c]
+                new = {j: piv * x for j, x in row.items()}
+                for j, y in prow.items():
+                    new[j] = new.get(j, 0) - f * y
+                g = gcd(*new.values())
+                rows[i] = {j: x // g for j, x in new.items() if x}
+        if not all(rows):
+            rows = [row for row in rows if row]
         pivots.append(c)
         r += 1
-    return [
-        [Fraction(e, row[c]) if e else _ZERO for e in row] for row, c in zip(rows, pivots)
-    ], pivots
+    pivot_rows = [{j: Fraction(e, row[c]) for j, e in row.items()} for row, c in zip(rows, pivots)]
+    return pivot_rows, pivots
 
 
 def rank(m, ncols: int | None = None) -> int:
@@ -202,7 +198,7 @@ def null_space_basis(m, ambient_dim: int | None = None) -> Subspace:
         v = [_ZERO] * ambient_dim
         v[c] = _ONE
         for i, pc in enumerate(pivots):
-            if e := rows[i][c]:
+            if e := rows[i].get(c):
                 v[pc] = -e
         basis.append(tuple(v))
     # One unit entry per free column, zero in every other free column: the

@@ -2,7 +2,10 @@
 
 _rref, rank, null_space_basis and solve_linear are compared with the
 kernels they replaced, a fraction-free Bareiss rank and a Fraction
-Gauss-Jordan reduction, kept here verbatim as references.  classify is
+Gauss-Jordan reduction, kept here verbatim as references.  _rref's dict
+pivot rows are expanded to dense rows for those comparisons, and _rref is
+also compared with the dense-row integer RREF it replaced
+(reference_dense_rref) on dense, dict and mixed rows.  classify is
 compared with a reference that decides the paraboloid case by projecting a
 onto null(A).  Hypothesis runs derandomized, so every run draws the same
 examples.
@@ -14,6 +17,7 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
+import reference_dense_rref
 from dense_form import dense
 from facetforge.exact_linalg import (
     Subspace,
@@ -29,6 +33,7 @@ from facetforge.quadratics import (
     ConvexQuadratic,
     QuadraticClass,
     QuadraticKind,
+    _direction_rows,
     classify,
 )
 from facetforge.signatures import Signature
@@ -160,10 +165,15 @@ def rational_matrices(draw):
     return tuple(tuple(row) for row in m), ncols
 
 
+def expand(rows, ncols):
+    """_rref's pivot rows {j: Fraction} as dense Fraction lists."""
+    return [[row.get(j, F(0)) for j in range(ncols)] for row in rows]
+
+
 def _check_against_references(m, ncols, b):
     rows, pivots = _rref(m, ncols)
-    assert (rows, pivots) == reference_rref(m, ncols)
-    assert all(type(e) is Fraction for row in rows for e in row)
+    assert (expand(rows, ncols), pivots) == reference_rref(m, ncols)
+    assert all(type(e) is Fraction and e for row in rows for e in row.values())
     assert rank(m) == reference_rank(m) == len(pivots)
     space = null_space_basis(m, ncols)
     assert space.ambient_dim == ncols
@@ -182,6 +192,25 @@ def test_kernel_matches_references(case, data):
     else:
         b = tuple(F(data.draw(st.integers(-3, 3))) for _ in m)
     _check_against_references(m, ncols, b)
+
+
+def assert_matches_dense_rref(m, ncols):
+    rows, pivots = _rref(m, ncols)
+    assert all(type(e) is Fraction and e for row in rows for e in row.values())
+    assert (expand(rows, ncols), pivots) == reference_dense_rref._rref(m, ncols)
+
+
+@SETTINGS
+@given(rational_matrices(), st.data())
+def test_rref_matches_the_dense_row_kernel(case, data):
+    # Each row goes in dense, as a dict of its nonzeros, or drawn per row.
+    m, ncols = case
+    form = data.draw(st.sampled_from(["dense", "dict", "mixed"]))
+    rows = []
+    for row in m:
+        as_dict = form == "dict" or (form == "mixed" and data.draw(st.booleans()))
+        rows.append({j: e for j, e in enumerate(row) if e} if as_dict else row)
+    assert_matches_dense_rref(tuple(rows), ncols)
 
 
 @SETTINGS
@@ -315,3 +344,16 @@ def test_classify_matches_projection_reference(case):
     got = classify(q)
     assert got.kind is expected
     assert got == reference_classify(q)
+
+
+@SETTINGS
+@given(st.lists(psd_quadratics(), min_size=1, max_size=3))
+def test_rref_matches_the_dense_row_kernel_on_direction_rows(cases):
+    # An active set's stacked rows: each A's nonzero rows as dicts and each
+    # linear term a as a dense tuple, zero-padded to a common dimension.
+    n = max(q.dim for q, _ in cases)
+    constraints = [
+        ConvexQuadratic(A=q.A, a=q.a + (F(0),) * (n - q.dim), alpha=q.alpha)
+        for q, _ in cases
+    ]
+    assert_matches_dense_rref(_direction_rows(constraints), n)

@@ -479,14 +479,25 @@ class SliceSpec:
             raise ValueError("extent must be positive")
 
 
+def _is_json_number(x) -> bool:
+    """A finite JSON number: an int or float, not a bool, NaN or infinity."""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def slice_spec_from_json(data: dict) -> SliceSpec:
-    return SliceSpec(
-        base_point=tuple(data["base_point"]),
-        u=tuple(data["u"]),
-        v=tuple(data["v"]),
-        resolution=int(data.get("resolution", 64)),
-        extent=float(data.get("extent", 16.0)),
-    )
+    fields = {}
+    for field in ("base_point", "u", "v"):
+        vec = data[field]
+        if not isinstance(vec, list) or not all(map(_is_json_number, vec)):
+            raise ValueError(f"{field} must be a list of numbers: {vec!r}")
+        fields[field] = tuple(vec)
+    resolution = data.get("resolution", 64)
+    if type(resolution) is not int:
+        raise ValueError(f"resolution must be an integer: {resolution!r}")
+    extent = data.get("extent", 16.0)
+    if not _is_json_number(extent):
+        raise ValueError(f"extent must be a number: {extent!r}")
+    return SliceSpec(**fields, resolution=resolution, extent=float(extent))
 
 
 def slice_boundary(s: QuadraticSystem, spec: SliceSpec):

@@ -776,10 +776,12 @@ def _float_interior(fs: _FloatSystem) -> np.ndarray:
         slack = -vals
         grads = fs.gradients(x)
         grad = (grads / slack[:, None]).sum(axis=0)
-        hess = np.bincount(
+        # The float outer products first: np.bincount over no matrix
+        # entries returns int64, which cannot take them in place.
+        hess = np.einsum("mi,mj->ij", grads / slack[:, None], grads / slack[:, None])
+        hess += np.bincount(
             fs.I * fs.n + fs.J, fs.V * (2.0 / slack)[fs.K], minlength=fs.n * fs.n
         ).reshape(fs.n, fs.n)
-        hess += np.einsum("mi,mj->ij", grads / slack[:, None], grads / slack[:, None])
         try:
             step = np.linalg.solve(hess + 1e-12 * np.eye(fs.n), -grad)
         except np.linalg.LinAlgError:
@@ -845,6 +847,27 @@ class _DimContext:
             != (cls.nullity if cls.face_directions is None else cls.face_directions.dim)
         }
         self._spaces: dict[tuple[int, ...], tuple[Subspace, np.ndarray]] = {}
+        self._magnitudes: _FloatSystem | None = None
+
+    def rounding_error(self, pt: np.ndarray) -> np.ndarray:
+        """A bound on |fs.eval_point(pt) - f(x)|, per constraint, for the
+        exact point x whose coordinates round to pt.
+
+        Each term of f_j(x) is a product of at most three rounded inputs,
+        rounded twice, and fs adds at most k - 8 terms one by one, then
+        alpha, with k = V.size + n + 8.  So the error is at most
+        gamma_k M_j = k u M_j / (1 - k u), u = 2^-53, where M_j sums the
+        magnitudes of the terms: f_j at |x| with every entry made absolute,
+        which the same kernel computes within a factor 1 +- gamma_k.  For
+        k u below 1/4, 2 k u times the computed M_j covers both.
+        """
+        if self._magnitudes is None:
+            fs = self.fs
+            self._magnitudes = _FloatSystem(
+                fs.n, fs.K, fs.I, fs.J, np.abs(fs.V), np.abs(fs.a), np.abs(fs.alpha)
+            )
+        k = self.fs.V.size + self.fs.n + 8
+        return 2 * k * 2.0**-53 * self._magnitudes.eval_point(np.abs(pt))
 
     def direction_space(self, active: tuple[int, ...]) -> tuple[Subspace, np.ndarray]:
         """Directions along which every constraint of an active set is
@@ -955,15 +978,25 @@ def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
     constraint is constant; validated by each active constraint's check
     against its classification and a floating +-eps feasibility probe.
     Raises ProbeMismatch on disagreement and ValueError when x is infeasible
-    beyond tolerance.  The classification, its per-constraint check and the
-    float copy of the system are built on the first call and reused by
-    later calls on the same system.
+    beyond tolerance.  When every coordinate of x is a Fraction or an int,
+    activity and feasibility are decided on the exact values f_j(x): each
+    float value within its rounding error of +-TOL_ACTIVE is replaced by
+    quadratics.evaluate's exact sum.  The classification, its per-constraint
+    check and the float copy of the system are built on the first call and
+    reused by later calls on the same system.
     """
     ctx = _dim_context(system)
     pt = np.array([float(e) for e in x], dtype=float)
     if len(pt) != system.dim:
         raise ValueError("point dimension mismatch")
-    _, dims, _ = ctx.measure_batch(pt[None, :], ctx.fs.eval_point(pt)[:, None])
+    fvals = ctx.fs.eval_point(pt)
+    if all(isinstance(e, (Fraction, int)) for e in x):
+        # NaN counts as unsure too.  The exact sum is clamped to [-1, 1]:
+        # only its side of +-TOL_ACTIVE counts, and float() overflows.
+        unsure = ~(np.abs(np.abs(fvals) - TOL_ACTIVE) > ctx.rounding_error(pt))
+        for j in np.flatnonzero(unsure):
+            fvals[j] = float(min(max(evaluate(system.constraints[j], x), -1), 1))
+    _, dims, _ = ctx.measure_batch(pt[None, :], fvals[:, None])
     if dims[0] < 0:
         raise ProbeMismatch(
             "the active set at this point fails cross-validation: it holds "

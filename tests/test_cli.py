@@ -281,6 +281,67 @@ def test_slice_bad_spec_exit_2(tmp_path, capsys):
     assert main(["slice", path, "--spec", str(spec)]) == 2
 
 
+def slab_file(tmp_path, n):
+    """5 <= x_1 <= 5.1 in R^n: two linear constraints, no matrix entry."""
+    zeros = [["0"] * n for _ in range(n)]
+    data = {"dim": n, "constraints": [
+        {"A": zeros, "a": ["-1"] + ["0"] * (n - 1), "alpha": "10"},
+        {"A": zeros, "a": ["1"] + ["0"] * (n - 1), "alpha": "-51/5"},
+    ]}
+    path = tmp_path / "slab.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_verify_a_slab_without_matrix_entries(tmp_path, capsys):
+    # The exact path declines and no warm start is feasible, so the probe's
+    # interior point comes from phase I and the barrier polish.
+    assert main(["verify", slab_file(tmp_path, 1), "--expect", "0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["signature"] == [0, 1]
+
+
+def test_slice_a_slab_without_matrix_entries(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base_point": [0, 0], "u": [1, 0], "v": [0, 1]}))
+    assert main(["slice", slab_file(tmp_path, 2), "--spec", str(spec)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(4.99 < float(row.split(",")[3]) < 5.11 for row in rows)
+
+
+SPEC = {"base_point": [0.0, 0.0, 0.0], "u": [1.0, 0.0, 0.0], "v": [0.0, 1.0, 0.0],
+        "resolution": 48, "extent": 16.0}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("resolution", 8.9),
+        ("resolution", "9"),
+        ("resolution", True),
+        ("extent", "3"),
+        ("extent", True),
+        ("extent", [3]),
+        ("base_point", ["0", "0", "0"]),
+        ("base_point", "0,0,0"),
+        ("u", [1, "0", 0]),
+        ("v", [0, True, 0]),
+        ("v", [0, 1, None]),
+    ],
+)
+def test_slice_spec_field_of_the_wrong_type_exit_2(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, field: value}))
+    assert main(["slice", ball_file(tmp_path), "--spec", str(spec)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_slice_spec_of_float_lists(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    assert main(["slice", ball_file(tmp_path), "--spec", str(spec)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 49
+
+
 def test_experiment_primes(capsys):
     assert main(["experiment", "primes", "--k", "4"]) == 0
     out = capsys.readouterr().out

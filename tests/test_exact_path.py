@@ -14,7 +14,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import facetforge
 from facetforge.constructor import realize
@@ -25,9 +29,12 @@ from facetforge.quadratics import (
     QuadraticSystem,
     classify,
     direct_sum,
+    evaluate,
 )
 from facetforge.signatures import Signature, minkowski_sum
 from facetforge.verifier import (
+    ProbeMismatch,
+    _dim_context,
     _single_constraint_block,
     exact_signature,
     minimal_face_dim_at,
@@ -155,8 +162,67 @@ def _cases_up_to_n_32():
     return cases
 
 
+def _large_value_cases():
+    """Systems whose f is about 1e24 or 1e8 at its exact witnesses, where a
+    float evaluation misreads which constraints are active."""
+    def single(A, a, alpha):
+        return QuadraticSystem(dim=len(a), constraints=(ConvexQuadratic(A=A, a=a, alpha=alpha),))
+
+    return [
+        (single([[3]], [0], -(10**24 + 7)), Signature.of(0, 1)),
+        (single([[1, 0], [0, 0]], [0, 0], -78000007), Signature.of(1, 2)),
+    ]
+
+
+def _dim_or_fault(read, system, x):
+    try:
+        return read(system, x)
+    except (ValueError, ProbeMismatch) as exc:
+        return type(exc).__name__
+
+
+def _dim_from_exact_values(system, x):
+    """minimal_face_dim_at with every f_j(x) summed exactly."""
+    ctx = _dim_context(system)
+    pt = np.array([float(e) for e in x])
+    f = np.array([float(min(max(evaluate(q, x), -1), 1)) for q in system.constraints])
+    dims = ctx.measure_batch(pt[None, :], f[:, None])[1]
+    if dims[0] < 0:
+        raise ProbeMismatch("cross-validation failed")
+    return int(dims[0])
+
+
+def test_exact_points_read_as_if_every_value_were_exact():
+    # minimal_face_dim_at sums f_j(x) exactly only where the float value is
+    # within its rounding error of +-TOL_ACTIVE.  Points of c x^2 + d y^2 <= R
+    # with R up to 1e24 whose f is within a few TOL_ACTIVE of 0 and +-TOL_ACTIVE
+    # must read as with every value exact.
+    rng = random.Random(2424)
+    tol = Fraction(1, 10**8)
+    for _ in range(150):
+        R = 10 ** rng.randint(0, 24) + rng.randint(0, 99)
+        c, d = rng.randint(1, 9), rng.randint(0, 3)
+        q = ConvexQuadratic(A=[[c, 0], [0, d]], a=[0, 0], alpha=-R)
+        system = QuadraticSystem(dim=2, constraints=(q,))
+        denominator = 2**rng.randint(40, 120)
+        x0 = Fraction(isqrt(R * denominator**2 // c), denominator)
+        # move x0 so that f lands near a chosen multiple of TOL_ACTIVE
+        target = rng.choice([-2, -1, 0, 1, 2]) * tol + rng.randint(-3, 3) * tol / 4
+        x0 += (target - evaluate(q, (x0, Fraction(0)))) / (2 * c * x0) if x0 else 0
+        x = (x0, Fraction(0))
+        assert _dim_or_fault(minimal_face_dim_at, system, x) == _dim_or_fault(
+            _dim_from_exact_values, system, x)
+
+
+def test_an_exact_point_past_float_range_reads_infeasible():
+    # f is about 1e400 at x: its exact sum, clamped, still reads infeasible.
+    ball = QuadraticSystem(dim=1, constraints=(ConvexQuadratic(A=[[1]], a=[0], alpha=-1),))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not feasible"):
+        minimal_face_dim_at(ball, (Fraction(10**200),))
+
+
 def test_exact_path_cross_checked_up_to_n_16():
-    for system, expected in _cases_up_to_n_16():
+    for system, expected in _cases_up_to_n_16() + _large_value_cases():
         assert system.dim <= 16
         report = exact_signature(system)
         assert report.signature == expected

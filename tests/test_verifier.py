@@ -196,6 +196,32 @@ def test_interior_point_uses_witness():
     assert max(vals) < 0
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        # 5 <= x <= 5.1: no matrix entry, so the barrier Hessian has none
+        QuadraticSystem(dim=1, constraints=(
+            ConvexQuadratic(A=[[0]], a=[-1], alpha=10),
+            ConvexQuadratic(A=[[0]], a=[1], alpha=F(-51, 5)),
+        )),
+        # a thin lens of two balls that holds neither center nor their mean
+        QuadraticSystem(dim=2, constraints=(
+            ball_at((F(599, 100), 0), 1, 2), ball_at((8, 0), F(104, 100), 2),
+        )),
+    ],
+    ids=["slab", "lens"],
+)
+def test_interior_point_after_phase_one_polish(system, monkeypatch):
+    # No warm start is feasible, so phase I runs and the polish solves.
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    x = interior_point(system)
+    assert solves
+    point = tuple(map(F, x.tolist()))
+    assert all(evaluate(q, point) < 0 for q in system.constraints)
+
+
 def test_interior_point_raises_on_touching_balls():
     # two unit balls meeting in the single point (1, 0)
     system = QuadraticSystem(

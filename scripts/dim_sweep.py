@@ -3,7 +3,11 @@ every constraint (the exact core's per-constraint step), JSON encoding
 (system_to_json and formats.dumps), JSON decoding (json.loads and
 system_from_json), minimal_face_dim_at on every exact witness,
 probe_signature (2000 samples, seed 42) and its float-kernel layers, and
-the decomposition search decompose_min_cost on {0..n} at budget n.  The
+the decomposition search decompose_min_cost on {0..n} at budget n.  It
+also times probe_signature on the three-face template {0, n//2, n}
+(2000 samples, seed 42), which misses dimensions, so its refinement runs
+until no tuple size left can add one; on {0..n} it settles before any
+pair is tried.  The
 layers are the 2000 ray directions (_sampled_directions), their boundary
 hits from the probe's interior point (_FloatSystem.ray_exit) and the face
 measurement of those hits (_DimContext.measure_batch), the last with the
@@ -17,7 +21,8 @@ time of 3 calls of each step, in seconds, all in one process, and whether
 the certified signature is {0..n}, the encoded text is what
 json.dumps(indent=2, sort_keys=True) writes, decoding it gives back an
 equal system, every witness reads back its own dimension, the probe finds
-{0..n} and the decomposition's cost meets the lower bound.  Each
+{0..n}, the probe of {0, n//2, n} finds that signature and the
+decomposition's cost meets the lower bound.  Each
 minimal_face_dim_at call gets a freshly decoded system, so the
 face-measurement context cached on a system is built in every call.  The
 default sizes take about five minutes on a 2-core machine, most of it in
@@ -80,6 +85,9 @@ def main(sizes):
                                             for d, w in report.witnesses.items()},
                              lambda: _from_json(text))
         probe, t_probe = _best(lambda _: probe_signature(system, 2000, 42))
+        three = Signature.of(0, n // 2, n)
+        three_system = realize(three).system
+        probe_three, t_probe_three = _best(lambda _: probe_signature(three_system, 2000, 42))
         reduced, classes, *_ = _restrict_affine(system)
         ctx = _DimContext(reduced, classes)
         x0 = interior_point(reduced)
@@ -93,6 +101,7 @@ def main(sizes):
                     "classify_s": t_classify,
                     "to_json_s": t_to_json, "from_json_s": t_from_json,
                     "minimal_face_dim_at_s": t_dims, "probe_signature_s": t_probe,
+                    "probe_three_s": t_probe_three,
                     "rays_s": t_rays, "hits_s": t_hits, "measure_s": t_measure,
                     "decompose_s": t_decompose,
                     "signature_ok": report.signature == sig,
@@ -101,6 +110,7 @@ def main(sizes):
                     "round_trip_ok": loaded == system,
                     "witness_dims_ok": all(d == k for k, d in dims.items()),
                     "probe_ok": probe.signature == sig,
+                    "probe_three_ok": probe_three.signature == three,
                     "decompose_ok": tree_cost(tree) == lower_bound(sig).k}
     print(json.dumps({"template": "{0..n}", "sweep": sweep}))
 

@@ -17,33 +17,38 @@ reaches (corners where constraints meet, constraints that touch the set
 only where rays almost never land) are found too.  A tuple is refined only
 when every sub-tuple one smaller has been seen active, since wherever a
 tuple is active so are its sub-tuples; each round solves one start of
-every unresolved tuple in one vectorized batch.  Refinement stops once
-every face dimension of the block has a point and every constraint has
-been active, since no later solve can change the report.  Constraints
-never active at a hit or a refined point are named in a warning.  An
-active set's face direction space is the null space of its constraints'
-stacked rows (quadratics.constant_directions); the dimension of each
-constraint's own such space is checked once against its exact
-classification, and every claimed face direction is probed at +-eps in
-floating point; disagreement surfaces as ProbeMismatch instead of being
-resolved silently.
+every unresolved tuple in one vectorized batch.  A refined point of a
+tuple has the tuple active, so its face dimension is at most the least of
+the members' own constant-direction dimensions, and for a tuple of size s
+at most top_s, the s-th largest of them.  Refinement of size s stops, and
+every larger size is skipped, once every dimension 0..top_s has a point
+and every constraint has been active, since no later solve can change the
+report; this assumes the float evaluation agrees with the Gauss-Newton
+residual within TOL_ACTIVE - NEWTON_TOL.  Constraints never active at a
+hit or a refined point are named in a warning.  An active set's face
+direction space is the null space of its constraints' stacked rows
+(quadratics.constant_directions); the dimension of each constraint's own
+such space is checked once against its exact classification, and every
+claimed face direction is probed at +-eps in floating point;
+disagreement surfaces as ProbeMismatch instead of being resolved silently.
 
-The probe path works on a float copy of the system that holds each
-constraint's matrix as its nonzero triples (constraint, row, column,
-value), so evaluating a point costs the nonzero entries, not m n^2, and
-each constraint's quadratic and linear terms are summed in one fixed order,
-so a point's values do not depend on its batch.  A batch of N points
-evaluates to an m x N array, constraint-major, so reductions over the
-constraints run along the contiguous point axis; a batch goes
-ENTRY_BUDGET // max(m, n) points at a time and terms are gathered a block
-of whole runs at a time, which bounds every temporary by entries.  Hits are
-grouped by active set through each point's column of activity bits packed
-into 64-bit words.  Ray exits are closed-form quadratic roots, pulled back
-until the hit point evaluates feasible, and _FloatSystem.ray_exit returns
-the point and values of that last check as the hit's, the one place a hit
-point is computed.  Tolerances: activity 1e-8, face probe step 1e-6,
-Newton residual 1e-12.  The separation between activity detection and the
-probe step keeps quadratic curvature from masquerading as flatness.
+The probe path works on a float copy of the system, built once per system
+and kept on it (_float_system), that holds each constraint's matrix as its
+nonzero triples (constraint, row, column, value), so evaluating a point
+costs the nonzero entries, not m n^2, and each constraint's quadratic and
+linear terms are summed in one fixed order, so a point's values do not
+depend on its batch.  A batch of N points evaluates to an m x N array,
+constraint-major, so reductions over the constraints run along the
+contiguous point axis; a batch goes ENTRY_BUDGET // max(m, n) points at a
+time and terms are gathered a block of whole runs at a time, which bounds
+every temporary by entries.  Hits are grouped by active set through each
+point's column of activity bits packed into 64-bit words.  Ray exits are
+closed-form quadratic roots, pulled back until the hit point evaluates
+feasible, and _FloatSystem.ray_exit returns the point and values of that
+last check as the hit's, the one place a hit point is computed.
+Tolerances: activity 1e-8, face probe step 1e-6, Newton residual 1e-12.
+The separation between activity detection and the probe step keeps
+quadratic curvature from masquerading as flatness.
 """
 
 from __future__ import annotations
@@ -708,11 +713,20 @@ class _FloatSystem:
         return t, pts, vals
 
 
+def _float_system(system: QuadraticSystem) -> _FloatSystem:
+    """The system's float copy, built on first use and kept on the system."""
+    fs = system.__dict__.get("_float_system")
+    if fs is None:
+        fs = _FloatSystem.from_system(system)
+        object.__setattr__(system, "_float_system", fs)
+    return fs
+
+
 def interior_point(system: QuadraticSystem) -> np.ndarray:
     """Strictly feasible point: the system's witness, else _float_interior."""
     if system.interior_witness is not None:
         return np.array([float(e) for e in system.interior_witness])
-    return _float_interior(_FloatSystem.from_system(system))
+    return _float_interior(_float_system(system))
 
 
 def _float_interior(fs: _FloatSystem) -> np.ndarray:
@@ -807,7 +821,7 @@ def boundary_sample(
 ) -> np.ndarray | None:
     """Boundary point on the ray x0 + t*direction, or None for a recession
     ray that never leaves the set."""
-    fs = _FloatSystem.from_system(system)
+    fs = _float_system(system)
     x0 = np.asarray(x0, dtype=float)
     d = np.asarray(direction, dtype=float)
     if float(fs.eval_point(x0).max(initial=-np.inf)) > 0:
@@ -823,11 +837,14 @@ def boundary_sample(
 class _DimContext:
     """Face measurement for one system.
 
-    classes[j] is classify(system.constraints[j]), computed by the caller.
-    Each constraint is checked once: its constant directions must have the
-    dimension its class claims, that of face_directions where the class has
-    them and the nullity otherwise (constant_direction_dim, a pivot count,
-    so no basis is built).
+    classes[j] is classify(system.constraints[j]), computed by the caller,
+    and fs is the system's float copy (_float_system).  Each constraint is
+    checked once: its constant directions must have the dimension its class
+    claims, that of face_directions where the class has them and the
+    nullity otherwise (constant_direction_dim, a pivot count, so no basis
+    is built).  Those dimensions are kept as constant_dims: a face where
+    constraint j is active has at most constant_dims[j] dimensions, which
+    bounds what refinement can still find (_probe_faces).
     Direction spaces are cached per active set.  measure_batch groups its
     points by active set (_group_columns), so each distinct set is looked up
     once, and evaluates every point's own +-eps probes a chunk of points at
@@ -839,12 +856,14 @@ class _DimContext:
 
     def __init__(self, system: QuadraticSystem, classes: list[QuadraticClass]):
         self.system = system
-        self.fs = _FloatSystem.from_system(system)
+        self.fs = _float_system(system)
         self.classes = classes
+        self.constant_dims = [
+            constant_direction_dim((q,), system.dim) for q in system.constraints
+        ]
         self.mismatched = {
-            j for j, (q, cls) in enumerate(zip(system.constraints, classes))
-            if constant_direction_dim((q,), system.dim)
-            != (cls.nullity if cls.face_directions is None else cls.face_directions.dim)
+            j for j, (dim, cls) in enumerate(zip(self.constant_dims, classes))
+            if dim != (cls.nullity if cls.face_directions is None else cls.face_directions.dim)
         }
         self._spaces: dict[tuple[int, ...], tuple[Subspace, np.ndarray]] = {}
         self._magnitudes: _FloatSystem | None = None
@@ -1169,7 +1188,6 @@ class _FaceLog:
     """
 
     def __init__(self, m: int, n: int, x0: np.ndarray):
-        self.n = n
         self.points: dict[int, np.ndarray] = {n: x0}
         self.seen: dict[frozenset[int], int] = {}
         self.index: list[set[int]] = [set() for _ in range(m)]
@@ -1186,10 +1204,13 @@ class _FaceLog:
     def covered(self, tup: tuple[int, ...]) -> bool:
         return bool(set.intersection(*(self.index[j] for j in tup)))
 
-    def settled(self) -> bool:
-        """Every dimension 0..n has a point and every constraint has been
-        active, so no refinement can change what the probe reports."""
-        return len(self.points) > self.n and len(self.ever_active) == len(self.index)
+    def settled(self, top: int) -> bool:
+        """Every dimension 0..top has a point and every constraint has been
+        active, so no refined point of face dimension at most top can
+        change what the probe reports."""
+        return len(self.ever_active) == len(self.index) and all(
+            d in self.points for d in range(top + 1)
+        )
 
 
 def _read_hits(ctx: _DimContext, log: _FaceLog, pts: np.ndarray, vals: np.ndarray):
@@ -1256,11 +1277,20 @@ def _probe_faces(ctx: _DimContext, x0: np.ndarray, dirs: np.ndarray) -> _FaceLog
     every sub-tuple.  Round k refines the k-th start of every unresolved
     tuple of one size in one batch; a tuple is resolved by its first start
     that lands on a feasible, cross-validated point, or once a recorded
-    active set covers it.  probe_signature reads only points, ever_active
-    and skipped; refinement never changes skipped and only adds dimensions
-    and constraints not yet recorded.  So once the log has settled
-    (_FaceLog.settled), no later round can change the report, and
-    refinement stops before the next size or round.
+    active set covers it.
+
+    probe_signature reads only points, ever_active and skipped; refinement
+    never changes skipped and only adds dimensions and constraints not yet
+    recorded.  A refined point of a tuple has the tuple in its active set,
+    so its face directions are constant directions of every member, and its
+    face dimension is at most the least of the members' own
+    (_DimContext.constant_dims).  For a tuple of size s that is at most
+    top_s, the s-th largest of those dimensions, and every larger tuple
+    contains one of size s.  So once the log has settled up to top_s
+    (_FaceLog.settled), no later round of size s or later size can change
+    the report, and refinement stops before the next size or round.  This
+    rests on the float evaluation agreeing with the Gauss-Newton residual
+    within TOL_ACTIVE - NEWTON_TOL, so that a converged member reads active.
     """
     m = ctx.fs.m
     log = _FaceLog(m, ctx.system.dim, x0)
@@ -1268,8 +1298,10 @@ def _probe_faces(ctx: _DimContext, x0: np.ndarray, dirs: np.ndarray) -> _FaceLog
     ok = np.isfinite(t)
     _read_hits(ctx, log, pts[ok], vals[:, ok])
     log.ever_active.update(log.first_hit)
+    tops = sorted(ctx.constant_dims, reverse=True)
     for size in range(1, min(DEFAULT_TUPLE_CAP, m) + 1):
-        if log.settled():
+        top = tops[size - 1]
+        if log.settled(top):
             break
         pending = []
         for tup in itertools.combinations(range(m), size):
@@ -1288,7 +1320,7 @@ def _probe_faces(ctx: _DimContext, x0: np.ndarray, dirs: np.ndarray) -> _FaceLog
                 for tup, starts in pending
                 if k < len(starts) and not log.covered(tup)
             ]
-            if not pending or log.settled():
+            if not pending or log.settled(top):
                 break
             sols = _gauss_newton_batch(
                 ctx.fs,
@@ -1326,10 +1358,16 @@ def probe_signature(
     by size in start-major rounds: round k solves the k-th start of every
     unresolved tuple in one batch, then the tuples are resolved in order by
     the first start that lands on a feasible point whose active set
-    cross-validates.  Refinement stops as soon as every dimension 0..n of
-    the block has a point and every constraint has been active, so on a
+    cross-validates.  A tuple active at a point bounds the face there by
+    its members' own constant-direction dimensions, so tuples of size s
+    reach at most top_s, the s-th largest of those dimensions in the
+    block.  Refinement of size s stops, and every larger size is skipped,
+    as soon as every dimension 0..top_s of the block has a point and every
+    constraint has been active; this assumes the float evaluation agrees
+    with the Gauss-Newton residual within TOL_ACTIVE - NEWTON_TOL.  So on a
     complete template {0..n} whose rays and single-constraint solves find
-    every face no pair is tried.  Samples whose active set fails
+    every face, and on {0,k,n}, a ball and one cylinder whose rays show
+    dimension 0 and both constraints, no pair is tried.  Samples whose active set fails
     cross-validation are skipped and counted, over all blocks, in one
     warning, and a warning names, by index in `system`, every constraint
     that was never active at a hit or a refined point; the result is a

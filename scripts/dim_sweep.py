@@ -12,7 +12,11 @@ layers are the 2000 ray directions (_sampled_directions), their boundary
 hits from the probe's interior point (_FloatSystem.ray_exit) and the face
 measurement of those hits (_DimContext.measure_batch), the last with the
 context's direction spaces already computed, so it times the grouping and
-the +-eps probes.
+the +-eps probes.  Every hit of {0..n} lies on a face of dimension 0 or n,
+where no direction is probed, so the sweep also times probe_signature
+(2000 samples, seed 42) and the face measurement of the same rays' hits on
+the dense halfspace {x : 2<1, x> <= 1}, signature {n-1, n}, where every hit
+has n - 1 face directions.
 
     PYTHONPATH=src python3 scripts/dim_sweep.py [n ...]
 
@@ -21,8 +25,9 @@ time of 3 calls of each step, in seconds, all in one process, and whether
 the certified signature is {0..n}, the encoded text is what
 json.dumps(indent=2, sort_keys=True) writes, decoding it gives back an
 equal system, every witness reads back its own dimension, the probe finds
-{0..n}, the probe of {0, n//2, n} finds that signature and the
-decomposition's cost meets the lower bound.  Each
+{0..n}, the probe of {0, n//2, n} finds that signature, the probe of the
+halfspace finds {n-1, n} and the decomposition's cost meets the lower
+bound.  Each
 minimal_face_dim_at call gets a freshly decoded system, so the
 face-measurement context cached on a system is built in every call.  The
 default sizes take about five minutes on a 2-core machine, most of it in
@@ -37,7 +42,7 @@ import numpy as np
 
 from facetforge import formats
 from facetforge.constructor import realize
-from facetforge.quadratics import classify
+from facetforge.quadratics import ConvexQuadratic, QuadraticSystem, classify
 from facetforge.signatures import Signature, decompose_min_cost, lower_bound, tree_cost
 from facetforge.verifier import (
     _DimContext,
@@ -97,6 +102,13 @@ def main(sizes):
         ctx.measure_batch(pts[hit], vals[:, hit])
         _, t_measure = _best(lambda _: ctx.measure_batch(pts[hit], vals[:, hit]))
         tree, t_decompose = _best(lambda _: decompose_min_cost(sig, n))
+        half = QuadraticSystem(n, (ConvexQuadratic(A={}, a=(1,) * n, alpha=-1),))
+        probe_half, t_probe_half = _best(lambda _: probe_signature(half, 2000, 42))
+        ctx = _DimContext(half, [classify(q) for q in half.constraints])
+        t, pts, vals = ctx.fs.ray_exit(interior_point(half), dirs)
+        hit = np.isfinite(t)
+        ctx.measure_batch(pts[hit], vals[:, hit])
+        _, t_measure_half = _best(lambda _: ctx.measure_batch(pts[hit], vals[:, hit]))
         sweep[n] = {"realize_s": t_realize, "exact_signature_s": t_exact,
                     "classify_s": t_classify,
                     "to_json_s": t_to_json, "from_json_s": t_from_json,
@@ -104,6 +116,7 @@ def main(sizes):
                     "probe_three_s": t_probe_three,
                     "rays_s": t_rays, "hits_s": t_hits, "measure_s": t_measure,
                     "decompose_s": t_decompose,
+                    "halfspace_probe_s": t_probe_half, "halfspace_measure_s": t_measure_half,
                     "signature_ok": report.signature == sig,
                     "to_json_ok": text == json.dumps(formats.system_to_json(system), indent=2,
                                                      sort_keys=True) + "\n",
@@ -111,6 +124,7 @@ def main(sizes):
                     "witness_dims_ok": all(d == k for k, d in dims.items()),
                     "probe_ok": probe.signature == sig,
                     "probe_three_ok": probe_three.signature == three,
+                    "halfspace_ok": probe_half.signature == Signature.of(n - 1, n),
                     "decompose_ok": tree_cost(tree) == lower_bound(sig).k}
     print(json.dumps({"template": "{0..n}", "sweep": sweep}))
 

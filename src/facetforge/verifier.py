@@ -29,7 +29,11 @@ hit or a refined point are named in a warning.  An active set's face
 direction space is the null space of its constraints' stacked rows
 (quadratics.constant_directions); the dimension of each constraint's own
 such space is checked once against its exact classification, and every
-claimed face direction is probed at +-eps in floating point;
+claimed face direction u is probed at x +- eps u in floating point, from
+each quadratic's exact expansion f_j(x) +- 2 eps u^T (A_j x + a_j) +
+eps^2 u^T A_j u around the values f_j(x) already at hand, so the probe
+evaluates nothing: it takes the products A_j r of whichever rows are fewer,
+the active set's face directions or its points, and one matrix product;
 disagreement surfaces as ProbeMismatch instead of being resolved silently.
 
 The probe path works on a float copy of the system, built once per system
@@ -552,8 +556,8 @@ class _FloatSystem:
     points at a time (at least one), and terms are gathered a block of
     whole runs at a time, so no temporary holds more than
     max(ENTRY_BUDGET, m, n) entries, whatever the number of nonzeros.
-    _DimContext.measure_batch sizes its +-eps probe batches from the same
-    budget, so each is one such piece.
+    _DimContext.measure_batch sizes the pieces of its +-eps probe from the
+    same bound.
     """
 
     def __init__(self, n: int, K, I, J, V, a: np.ndarray, alpha: np.ndarray):
@@ -847,11 +851,11 @@ class _DimContext:
     bounds what refinement can still find (_probe_faces).
     Direction spaces are cached per active set.  measure_batch groups its
     points by active set (_group_columns), so each distinct set is looked up
-    once, and evaluates every point's own +-eps probes a chunk of points at
-    a time: ENTRY_BUDGET // max(m, n) // len(steps) whole points, so a
-    chunk's probes fit one _in_chunks piece.  Where even one point's probes
-    exceed ENTRY_BUDGET // max(m, n), the chunk is that point alone and its
-    steps go that many at a time, so no eval_batch call holds more.
+    once, and probes every point of the group along the set's face
+    directions without evaluating the system again: f_j(x +- eps u) is
+    f_j(x) +- 2 eps u^T (A_j x + a_j) + eps^2 u^T A_j u exactly, and
+    u^T A_j x = x^T A_j u comes from the products A_j u of the directions
+    or A_j x of the points, whichever are fewer (_probe_worst).
     """
 
     def __init__(self, system: QuadraticSystem, classes: list[QuadraticClass]):
@@ -903,9 +907,12 @@ class _DimContext:
             )
         n = self.system.dim
         space = constant_directions([self.system.constraints[j] for j in active], n)
-        basis = np.array(
-            [[float(e) for e in b] for b in space.basis], dtype=float
-        ).reshape(space.dim, n)
+        # Basis vectors are mostly zeros: only the nonzeros go through float().
+        basis = np.zeros((space.dim, n))
+        for r, b in enumerate(space.basis):
+            for i, e in enumerate(b):
+                if e:
+                    basis[r, i] = float(e)
         basis /= np.linalg.norm(basis, axis=1, keepdims=True)
         self._spaces[active] = space, basis
         return space, basis
@@ -920,10 +927,11 @@ class _DimContext:
         fvals[:, i] >= -TOL_ACTIVE, dims[i] the dimension of the minimal
         face at pts[i], or -1 where the active set fails cross-validation
         (it holds a constraint that failed the check against its class, or
-        a claimed face direction exits the set at the +-eps probe from
-        pts[i]), and groups the distinct active sets with their points
-        (_group_columns).  Raises ValueError when a point is infeasible
-        beyond tolerance.
+        a claimed face direction u exits the set at the probe: some
+        f_j(pts[i] +- PROBE_EPS u) exceeds TOL_ACTIVE, taken from the exact
+        expansion around fvals[:, i], _probe_worst), and groups the distinct
+        active sets with their points (_group_columns).  Raises ValueError
+        when a point is infeasible beyond tolerance.
         """
         if fvals.size and float(fvals.max()) > TOL_ACTIVE:
             raise ValueError("point is not feasible within tolerance")
@@ -939,24 +947,59 @@ class _DimContext:
                 dims[members] = -1
                 continue
             dims[members] = space.dim
-            if not len(basis):
-                continue
-            steps = np.concatenate([PROBE_EPS * basis, -PROBE_EPS * basis])
-            cap = max(1, ENTRY_BUDGET // max(self.fs.m, self.fs.n, 1))
-            per = max(1, cap // len(steps))
-            for start in range(0, len(members), per):
-                chunk = members[start : start + per]
-                worst = np.full(len(chunk), -np.inf)
-                # step-major, so one reduction down the columns of the m x
-                # (steps x chunk) values takes the worst over both; a lone
-                # point's steps go cap at a time when they exceed it
-                for lo in range(0, len(steps), cap):
-                    part = steps[lo : lo + cap, None, :]
-                    probes = (part + pts[chunk]).reshape(-1, pts.shape[1])
-                    f = self.fs.eval_batch(probes).reshape(-1, len(chunk)).max(axis=0)
-                    np.maximum(worst, f, out=worst)
-                dims[chunk[worst > TOL_ACTIVE]] = -1
+            if len(basis):
+                worst = self._probe_worst(basis, pts, fvals, members)
+                dims[members[worst > TOL_ACTIVE]] = -1
         return active, dims, groups
+
+    def _probe_worst(
+        self, basis: np.ndarray, pts: np.ndarray, fvals: np.ndarray, members: np.ndarray
+    ) -> np.ndarray:
+        """max over constraints j, rows u of basis and s = +-PROBE_EPS of
+        f_j(x + s u), for x = pts[i], i in members, from the exact expansion
+        f_j(x) + 2 s u^T (A_j x + a_j) + s^2 u^T A_j u of a quadratic, with
+        f_j(x) = fvals[j, i].
+
+        u^T A_j x = x^T A_j u, so the products A_j r (fs.products) go to
+        whichever rows are fewer: the k face directions, whose A_j u then
+        serve every point, or the points, whose half-gradients A_j x + a_j
+        then meet the whole basis (with u^T A_j u from fs.quad_forms, m x
+        k, within the m x n of the float copy's linear terms).  Either way
+        the (row, j) pairs go cap // n at a time, cap = max(ENTRY_BUDGET, m,
+        n), and the points cap // max(pairs, n) at a time, so no array of
+        the probe holds more than cap entries.
+        """
+        fs = self.fs
+        m, n = fs.m, fs.n
+        cap = max(ENTRY_BUDGET, m, n)
+        by_direction = len(basis) <= len(members)
+        pairs = (len(basis) if by_direction else len(members)) * m
+        worst = np.full(len(members), -np.inf)
+        if not by_direction:
+            bend = PROBE_EPS * PROBE_EPS * fs.quad_forms(basis)
+        for lo in range(0, pairs, cap // n):
+            r, j = np.divmod(np.arange(lo, min(lo + cap // n, pairs)), m)
+            if by_direction:
+                U = basis[r]
+                W = fs.products(U, j[:, None])[:, 0]
+                lin = np.einsum("ln,ln->l", U, fs.a[j])
+                curv = PROBE_EPS * PROBE_EPS * np.einsum("ln,ln->l", U, W)
+                per = max(1, cap // max(len(j), n))
+                for start in range(0, len(members), per):
+                    chunk = members[start : start + per]
+                    values = np.abs(pts[chunk] @ W.T + lin)
+                    values *= 2 * PROBE_EPS
+                    values += curv + fvals[j[:, None], chunk].T
+                    np.maximum(worst[start : start + per], values.max(axis=1),
+                               out=worst[start : start + per])
+            else:
+                x = members[r]
+                half_grads = fs.products(pts[x], j[:, None])[:, 0] + fs.a[j]
+                values = np.abs(basis @ half_grads.T)
+                values *= 2 * PROBE_EPS
+                values += bend[j].T
+                np.maximum.at(worst, r, values.max(axis=0) + fvals[j, x])
+        return worst
 
 
 def _group_columns(active: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -995,7 +1038,10 @@ def minimal_face_dim_at(system: QuadraticSystem, x) -> int:
 
     Computed as the dimension of the directions along which every active
     constraint is constant; validated by each active constraint's check
-    against its classification and a floating +-eps feasibility probe.
+    against its classification and a floating +-eps feasibility probe along
+    each such direction, added to the values f_j(x) through each
+    quadratic's exact expansion (_DimContext.measure_batch), so at an exact
+    point the probe starts from the exact values too.
     Raises ProbeMismatch on disagreement and ValueError when x is infeasible
     beyond tolerance.  When every coordinate of x is a Fraction or an int,
     activity and feasibility are decided on the exact values f_j(x): each
@@ -1349,8 +1395,10 @@ def probe_signature(
     generator seeded by seed, so the same seed gives the same report and a
     run with more samples shoots the same rays first.  All hits are
     measured in one batch: hits are grouped by active set, each distinct
-    set's direction space is computed once, and every hit gets its own
-    +-eps probe (_DimContext.measure_batch).  After sampling, constraint
+    set's direction space is computed once, and each hit is probed at
+    +-eps along it from its own values through the quadratics' exact
+    expansion, with no evaluation of the system
+    (_DimContext.measure_batch).  After sampling, constraint
     tuples of size 1 to DEFAULT_TUPLE_CAP that were never seen jointly
     active get targeted Gauss-Newton refinement, which reaches faces that
     rays miss almost surely; a tuple of two or more is tried only when all

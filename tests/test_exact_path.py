@@ -214,6 +214,28 @@ def test_exact_points_read_as_if_every_value_were_exact():
             _dim_from_exact_values, system, x)
 
 
+def test_face_directions_are_checked_at_large_magnitudes():
+    # Two points of the seed-2424 stream above, on slabs c x0^2 <= R in R^2
+    # with f = 1e-8 and 5e-9 (to float precision).  Their float values read
+    # thousands, so a probe that evaluated f(x +- PROBE_EPS e1) in floats
+    # raised ProbeMismatch; the expansion adds the steps to the exact f.
+    cases = [
+        (6, 10**19 + 97, 1e-8, Fraction(
+            412646679761793428969047028252889066432940838766911329,
+            319634743717042215746793512208695296000000000)),
+        (7, 10**21 + 34, 5e-9, Fraction(
+            9271958675955049336976847181861572435808073362209202360788929,
+            775747719184740356366611393540692272742400000000000)),
+    ]
+    for c, R, f, x0 in cases:
+        q = ConvexQuadratic(A=[[c, 0], [0, 0]], a=[0, 0], alpha=-R)
+        system = QuadraticSystem(dim=2, constraints=(q,))
+        x = (x0, Fraction(0))
+        assert float(evaluate(q, x)) == f
+        assert _dim_context(system).fs.eval_point(np.array([float(x0), 0.0]))[0] > 1000
+        assert minimal_face_dim_at(system, x) == 1
+
+
 def test_an_exact_point_past_float_range_reads_infeasible():
     # f is about 1e400 at x: its exact sum, clamped, still reads infeasible.
     ball = QuadraticSystem(dim=1, constraints=(ConvexQuadratic(A=[[1]], a=[0], alpha=-1),))

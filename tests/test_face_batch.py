@@ -13,6 +13,17 @@ log that settled (every dimension a tuple size left can reach found, every
 constraint active) stops refining and may record only some of the
 reference's.  Each test whose inputs can settle asserts that some of them
 never do, so the recorded sets are still compared whole.
+
+measure_batch probes the claimed face directions through each quadratic's
+exact expansion around the values it is given, where the reference
+evaluates the system at x +- PROBE_EPS u (reference_probe_directions).
+Under derandomized hypothesis (permuted templates, coordinate-mixed single
+quadratics of every class, offset balls, a ball cut by a halfspace beside
+its rim) every hit whose reference worst value lies more than
+1e-3 TOL_ACTIVE from TOL_ACTIVE must read the reference's dimension, in
+its batch and alone; a parabolic cylinder narrower than the probe step
+checks the curvature term, and a spy checks that no array of the probe
+exceeds the entry budget.
 """
 
 import itertools
@@ -21,7 +32,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dense_form import dense
 from facetforge.constructor import realize
 from facetforge.quadratics import (
     ConvexQuadratic,
@@ -331,48 +344,221 @@ def test_measure_batch_chunks_like_one_batch(monkeypatch):
     assert [s for s, _ in whole[2]] == [s for s, _ in chunked[2]]
 
 
+def changed(system, M):
+    """The system in coordinates y with x = M y, M an integer matrix of
+    determinant +-1: A -> M^T A M, a -> M^T a.  A permutation matrix keeps
+    the interior witness, M^T w."""
+    n = system.dim
+    cons = []
+    for q in system.constraints:
+        A = dense(q)
+        AM = [[sum(A[i][k] * M[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        cons.append(ConvexQuadratic(
+            A=[[sum(M[k][i] * AM[k][j] for k in range(n)) for j in range(n)] for i in range(n)],
+            a=[sum(M[k][i] * q.a[k] for k in range(n)) for i in range(n)],
+            alpha=q.alpha,
+        ))
+    w = system.interior_witness
+    if w is not None and all(sorted(row) == [0] * (n - 1) + [1] for row in M):
+        w = [sum(M[k][i] * w[k] for k in range(n)) for i in range(n)]
+    else:
+        w = None
+    return QuadraticSystem(n, tuple(cons), w)
+
+
+def unimodular(draw, n, permutation):
+    """A permutation matrix, or a product of elementary row additions."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    if permutation:
+        return [M[i] for i in draw(st.permutations(range(n)))]
+    for _ in range(draw(st.integers(1, 2 * n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        M[i] = [x + c * y for x, y in zip(M[i], M[j])]
+    return M
+
+
+@st.composite
+def measured_systems(draw):
+    """(system, aims): a permuted template, a coordinate-mixed quadratic of
+    any class (with or without a ball), offset balls about the origin, or
+    a unit ball in R^3 centered on the x axis cut by y <= h, with points
+    aimed just inside the rim where the plane z = 0 meets it: there the
+    claimed face direction e_x, one of two, exits the ball within the probe
+    step."""
+    kind = draw(st.sampled_from(["template", "single", "balls", "corner"]))
+    if kind == "template":
+        n = draw(st.integers(2, 8))
+        inner = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        system = realize(Signature.of(n, *inner)).system
+        return changed(system, unimodular(draw, n, permutation=True)), []
+    if kind == "single":
+        A, a, alpha = _CLASSES[draw(st.sampled_from(list(QuadraticKind)))]
+        q = ConvexQuadratic(A=A, a=a, alpha=alpha)
+        ball = (ball_at((F(1, 3), 0, 0), 4, 3),) if draw(st.booleans()) else ()
+        system = QuadraticSystem(dim=3, constraints=(q,) + ball)
+        return changed(system, unimodular(draw, 3, permutation=False)), []
+    if kind == "balls":
+        n = draw(st.integers(2, 4))
+        coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        centers = [[F(c, 4) for c in draw(coords)] for _ in range(draw(st.integers(2, 4)))]
+        # every ball holds the origin inside
+        balls = tuple(ball_at(c, sum(e * e for e in c) + draw(st.integers(1, 3)), n)
+                      for c in centers)
+        return QuadraticSystem(dim=n, constraints=balls), []
+    h, shift = F(draw(st.integers(-3, 5)), 10), F(draw(st.integers(-2, 2)), 8)
+    halfspace = ConvexQuadratic(A=[[0] * 3] * 3, a=(0, F(1, 2), 0), alpha=-h)
+    corner = float(1 - h * h) ** 0.5
+    aims = [(float(shift) + sign * (corner - k * 1e-7), float(h), 0.0)
+            for k in range(1, 9) for sign in (1, -1)]
+    return QuadraticSystem(dim=3, constraints=(ball_at((shift, 0, 0), 1, 3), halfspace)), aims
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(measured_systems(), st.integers(0, 2**16))
+def test_measure_batch_agrees_with_the_probe_reference(case, seed):
+    # Every hit whose reference worst value max f(x +- PROBE_EPS u) lies
+    # more than 1e-3 TOL_ACTIVE from TOL_ACTIVE reads the reference's
+    # dimension, -1 where reference_measure raises ProbeMismatch, both in
+    # the batch of all hits (mostly groups with more points than face
+    # directions) and measured alone (fewer, where it has two or more).
+    system, aims = case
+    try:
+        reduced, classes, *_ = _restrict_affine(system)
+    except InfeasibleSystem:
+        assert any(classify(q).kind is QuadraticKind.EMPTY for q in system.constraints)
+        return
+    if reduced.dim == 0 or not reduced.constraints:
+        return
+    ctx = _DimContext(reduced, classes)
+    x0 = interior_point(reduced)
+    dirs = _sampled_directions(reduced.dim, 300, seed)
+    if aims:
+        aimed = np.array(aims) - x0
+        dirs = np.concatenate([dirs, aimed / np.linalg.norm(aimed, axis=1, keepdims=True)])
+    t, pts, vals = ctx.fs.ray_exit(x0, dirs)
+    ok = np.isfinite(t)
+    pts, vals = pts[ok], vals[:, ok]
+    _, dims, _ = ctx.measure_batch(pts, vals)
+    compared = exits = 0
+    for i, x in enumerate(pts):
+        active = reference_active_set(vals[:, i])
+        try:
+            want = reference_measure(ctx, x, vals[:, i], active)
+        except ProbeMismatch:
+            want = -1
+        if active and not any(j in ctx.mismatched for j in active):
+            basis = ctx.direction_space(active)[1]
+            if len(basis):
+                cand = np.concatenate([x + PROBE_EPS * basis, x - PROBE_EPS * basis])
+                worst = float(ctx.fs.eval_batch(cand).max())
+                if abs(worst - TOL_ACTIVE) <= 1e-3 * TOL_ACTIVE:
+                    continue
+        alone = ctx.measure_batch(pts[i : i + 1], vals[:, i : i + 1])[1][0]
+        assert dims[i] == alone == want, (i, x, active)
+        compared += 1
+        exits += want < 0
+    assert compared >= 0.9 * len(pts)
+    if aims:
+        assert exits >= len(aims) // 2
+
+
+def test_the_probe_step_reads_the_curvature():
+    # y <= 0 over the parabolic cylinder y >= 10^6 x^2 - 10^-7 in R^3,
+    # which is 6.3e-7 wide at the top.  From every hit on the top the probe
+    # step 1e-6 along x, one of the two face directions, leaves the
+    # cylinder; where |x| < 5e-8 (about a quarter of the hits) only through
+    # the curvature term eps^2 u^T A u = 1e-6, as the slope term
+    # 2 eps |u^T (A x + a)| = 2e6 eps |x| is below 1e-7 there.  Both in the
+    # batch and alone, with fewer points than face directions.
+    zero = [0] * 3
+    system = QuadraticSystem(dim=3, constraints=(
+        ConvexQuadratic(A=[[10**6, 0, 0], zero, zero], a=(0, F(-1, 2), 0),
+                        alpha=F(-1, 10**7)),
+        ConvexQuadratic(A=[zero] * 3, a=(0, F(1, 2), 0), alpha=0),
+    ))
+    ctx = _DimContext(system, [classify(q) for q in system.constraints])
+    x0 = np.array([0.0, -5e-8, 0.0])
+    t, pts, vals = ctx.fs.ray_exit(x0, _sampled_directions(3, 600, 8))
+    ok = np.isfinite(t)
+    pts, vals = pts[ok], vals[:, ok]
+    _, dims, _ = ctx.measure_batch(pts, vals)
+    top = [i for i in range(len(pts)) if reference_active_set(vals[:, i]) == (1,)]
+    assert len(top) > 50 and np.count_nonzero(np.abs(pts[top, 0]) < 5e-8) > 20
+    for i in top:
+        with pytest.raises(ProbeMismatch):
+            reference_measure(ctx, pts[i], vals[:, i], (1,))
+        assert ctx.measure_batch(pts[i : i + 1], vals[:, i : i + 1])[1][0] == -1
+    assert (dims[top] == -1).all()
+
+
+class Watched(np.ndarray):
+    """An array that records the shape of every array made from it, views
+    of the watched inputs (transposes, slices) apart."""
+
+    inputs: list[np.ndarray] = []
+    made: list[tuple[int, ...]] = []
+
+    def __array_finalize__(self, obj):
+        if not any(np.may_share_memory(self, x) for x in Watched.inputs):
+            Watched.made.append(self.shape)
+
+
 @pytest.mark.parametrize("budget", [ENTRY_BUDGET, 7, 13])
 def test_measure_batch_probes_within_the_entry_budget(monkeypatch, budget):
-    # No eval_batch call of measure_batch holds more than the
-    # ENTRY_BUDGET // max(m, n) points that _in_chunks takes in one piece:
-    # whole points' +-eps probes where one point's fit, else part of one
-    # point's.  Together the calls probe every point of a group with a face
-    # direction once, and the dims are those of the default budget.  At
-    # budget 7 one probe fits a call, at 13 three, so a point of {0..4}
-    # with one face direction goes whole and one with two or three is cut.
+    # The face probe builds no array of more than cap = max(budget, m, n)
+    # entries: neither an array made from the points or the face bases
+    # (watched) nor a piece of products A_j r that fs.products returns.
+    # The products go to the fewer rows of a group, its k face directions
+    # or its P points, so together the pieces take m min(k, P) (row, j)
+    # pairs per group, and the dims are those of the default budget.  On
+    # {0..4} (m = n = 4) every group of the hits has more points than
+    # directions; one point per group has fewer where k is 2 or 3.  A piece
+    # holds budget // n pairs, one at budget 7 and three at 13, so every
+    # group is cut.
     system = realize(Signature.of(0, 1, 2, 3, 4)).system
     ctx = _DimContext(system, _restrict_affine(system)[1])
     x0 = interior_point(system)
     t, pts, vals = ctx.fs.ray_exit(x0, _sampled_directions(4, 3000, 3))
     ok = np.isfinite(t)
-    _, want, _ = ctx.measure_batch(pts[ok], vals[:, ok])
+    pts, vals = pts[ok], vals[:, ok]
+    whole = ctx.measure_batch(pts, vals)
+    firsts = np.array([members[0] for _, members in whole[2]])
+    batches = [(pts, vals, whole), (pts[firsts], vals[:, firsts],
+                                    ctx.measure_batch(pts[firsts], vals[:, firsts]))]
     monkeypatch.setattr("facetforge.verifier.ENTRY_BUDGET", budget)
-    cap = max(1, budget // max(ctx.fs.m, ctx.fs.n))
-    steps, calls = [0], []
-    direction_space, eval_batch = ctx.direction_space, ctx.fs.eval_batch
+    m, n = ctx.fs.m, ctx.fs.n
+    cap = max(budget, m, n)
+    bases = []
+    for act, (space, basis) in list(ctx._spaces.items()):
+        ctx._spaces[act] = space, basis.view(Watched)
+        bases.append(basis)
+    pieces, products = [], ctx.fs.products
 
-    def space_spy(active):
-        space, basis = direction_space(active)
-        steps[0] = 2 * len(basis)
-        return space, basis
+    def products_spy(xs, rows):
+        out = products(xs, rows)
+        pieces.append(rows.size)
+        Watched.made.append(out.shape)
+        return out
 
-    def eval_spy(probes):
-        calls.append((len(probes), steps[0]))
-        return eval_batch(probes)
-
-    monkeypatch.setattr(ctx, "direction_space", space_spy)
-    monkeypatch.setattr(ctx.fs, "eval_batch", eval_spy)
-    _, dims, groups = ctx.measure_batch(pts[ok], vals[:, ok])
-    assert calls and (dims >= 0).all()
-    np.testing.assert_array_equal(dims, want)
-    for size, per_point in calls:
-        assert size <= cap, (size, per_point, cap)
-        if per_point <= cap:
-            assert size % per_point == 0
-    assert sum(size for size, _ in calls) == sum(
-        2 * len(direction_space(act)[1]) * len(members) for act, members in groups if act)
-    if budget < ENTRY_BUDGET:
-        assert any(per_point > cap for _, per_point in calls)
+    monkeypatch.setattr(ctx.fs, "products", products_spy)
+    sides = set()
+    for batch_pts, batch_vals, (_, want, groups) in batches:
+        watched = batch_pts.view(Watched)
+        Watched.inputs = [watched, *bases]
+        Watched.made.clear()
+        pieces.clear()
+        _, dims, _ = ctx.measure_batch(watched, batch_vals)
+        np.testing.assert_array_equal(dims, want)
+        assert (dims >= 0).all()
+        assert Watched.made and max(int(np.prod(s)) for s in Watched.made) <= cap
+        shapes = [(len(ctx._spaces[act][1]), len(members)) for act, members in groups if act]
+        probed = [m * min(k, P) for k, P in shapes if k]
+        sides.update(k <= P for k, P in shapes if k)
+        assert sum(pieces) == sum(probed)
+        if budget < ENTRY_BUDGET:
+            assert max(pieces) == budget // n < min(probed)
+    assert sides == {True, False}
 
 
 def test_minimal_face_dim_at_keeps_one_context():

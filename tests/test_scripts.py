@@ -23,7 +23,7 @@ def test_dim_sweep_flags_are_true():
     assert set(sweep) == {"8", "12"}
     for row in sweep.values():
         flags = {k: v for k, v in row.items() if k.endswith("_ok")}
-        assert len(flags) == 7 and all(flags.values()), flags
+        assert len(flags) == 8 and all(flags.values()), flags
         layers = [row[k] for k in ("rays_s", "hits_s", "measure_s")]
         assert all(isinstance(t, float) and t >= 0 for t in layers), row
 
